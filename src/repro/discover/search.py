@@ -60,9 +60,18 @@ class DiscoveryConfig:
     def from_payload(cls, payload: dict) -> "DiscoveryConfig":
         if "kernel" not in payload:
             raise ValueError("discover payload needs a 'kernel' name")
-        known = {f.name for f in dataclasses.fields(cls)}
+        if not isinstance(payload["kernel"], str):
+            raise ValueError("'kernel' must be a string")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {k: v for k, v in payload.items()
-                  if k in known and k != "server_url"}
+                  if k in fields and k != "server_url"}
+        for name, value in kwargs.items():
+            # Scalar fields take exactly their default's type (a bool is
+            # not an int here), so a malformed search fails before it runs.
+            expected = type(fields[name].default)
+            if expected in (int, bool, str) and type(value) is not expected:
+                raise ValueError(
+                    f"'{name}' must be {expected.__name__}, got {value!r}")
         params = kwargs.get("params") or {}
         if not isinstance(params, dict):
             raise ValueError("'params' must be an object")

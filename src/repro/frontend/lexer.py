@@ -1,9 +1,10 @@
 """Tokenizer for CoreDSL source text.
 
 Handles C-style identifiers, comments, punctuation, multi-character
-operators, string literals, C integer literals (``42``, ``0xcafe``, ``0b101``)
-and Verilog-style sized literals (``6'd42``, ``3'b111``, ``12'shfff``), which
-the paper adopts for precise control over literal types (Section 2.3).
+operators, string literals, C integer literals (``42``, ``0xcafe``, ``0b101``,
+octal ``017``) and Verilog-style sized literals (``6'd42``, ``3'b111``,
+``12'shfff``), which the paper adopts for precise control over literal types
+(Section 2.3).
 """
 
 from __future__ import annotations
@@ -130,7 +131,13 @@ def _iter_tokens(text: str, filename: str) -> Iterator[Token]:
         m = _NUMBER_RE.match(text, pos)
         if m:
             raw = m.group(0).replace("_", "")
-            value = int(raw, 0)
+            if raw[0] == "0" and raw.isdigit():
+                raw = "0o" + raw  # C: a leading zero makes the literal octal
+            try:
+                value = int(raw, 0)
+            except ValueError:
+                raise CoreDSLError(
+                    f"invalid digits in literal {m.group(0)!r}", loc())
             yield Token("number", m.group(0), loc(), value=value)
             pos = m.end()
             continue

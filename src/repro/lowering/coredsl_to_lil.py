@@ -28,7 +28,7 @@ from repro.dialects import lil
 from repro.frontend.elaboration import ElaboratedISA, Encoding
 from repro.ir.builder import Builder
 from repro.ir.core import Graph, Operation, Value
-from repro.ir.passes import canonicalize
+from repro.opt.passes import canonicalize_lowered
 from repro.utils.diagnostics import CoreDSLError
 
 XLEN = 32
@@ -466,7 +466,7 @@ class _LilConverter:
     def run(self) -> Graph:
         self.convert_block(self.container.regions[0].entry)
         self.builder.create("lil.sink", [], [])
-        canonicalize(self.graph)
+        canonicalize_lowered(self.graph)
         # Fields used only to *select* a sub-interface (rs1/rs2/rd) leave no
         # consumer behind; drop the instruction-word read if nothing uses it.
         for op in list(self.graph.operations):

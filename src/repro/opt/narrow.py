@@ -44,8 +44,14 @@ from typing import Optional, Tuple
 
 from repro.analysis.absint import AbsVal, RangeFacts, analyze_graph
 from repro.ir.core import Graph, Operation, Value
-from repro.ir.passes import _constant_value, _make_constant
-from repro.opt.passes import _is_pure, _mask, _replace, _rewire
+from repro.opt.passes import (
+    _constant_value,
+    _is_pure,
+    _make_constant,
+    _mask,
+    _replace,
+    _rewire,
+)
 
 #: Operations whose second operand is a shift amount; a proven-zero amount
 #: makes them the identity on the first operand.

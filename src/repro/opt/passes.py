@@ -11,6 +11,9 @@ invariant under every pass here (property-tested in
 ``optequiv`` fuzz oracle).
 
 The pass order and -O level presets live in :mod:`repro.opt.pipeline`.
+:func:`canonicalize_lowered` is not a pipeline pass: it is the cleanup
+lowering runs on every graph at every level, a named rule subset of the
+same canonicalizer.
 """
 
 from __future__ import annotations
@@ -19,13 +22,6 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.core import Graph, Operation, Value
-from repro.ir.passes import (
-    _constant_value,
-    _make_constant,
-    _rewrite_constant_shift,
-    _simplify_algebraic,
-    dedupe_constants,
-)
 from repro.opt.share import mux_push
 
 #: Commutative comb operations whose operands are sorted into a canonical
@@ -51,6 +47,20 @@ _ICMP_REFLEXIVE = {
     "eq": 1, "ule": 1, "uge": 1, "sle": 1, "sge": 1,
     "ne": 0, "ult": 0, "ugt": 0, "slt": 0, "sgt": 0,
 }
+
+
+def _constant_value(value: Value) -> Optional[int]:
+    owner = value.owner
+    if owner is not None and owner.name == "comb.constant":
+        return owner.attr("value")
+    return None
+
+
+def _make_constant(graph: Graph, anchor: Operation, value: int,
+                   width: int) -> Value:
+    op = Operation("comb.constant", [], [(width, None)], {"value": value})
+    graph.block.insert_before(anchor, op)
+    return op.result
 
 
 def _is_pure(op: Operation) -> bool:
@@ -96,6 +106,26 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
+def _shift_wiring(graph: Graph, anchor: Operation, value: Value,
+                  amount: int, right: bool = False) -> Value:
+    """Build ``value << amount`` (logical ``>>`` when ``right``) as an
+    extract plus a zero-pad concat: wiring, not a shifter."""
+    width = value.width
+    if amount == 0:
+        return value
+    if amount >= width:
+        return _make_constant(graph, anchor, 0, width)
+    keep = width - amount
+    kept = Operation("comb.extract", [value], [(keep, None)],
+                     {"low": amount if right else 0})
+    graph.block.insert_before(anchor, kept)
+    pad = _make_constant(graph, anchor, 0, amount)
+    parts = [pad, kept.result] if right else [kept.result, pad]
+    concat = Operation("comb.concat", parts, [(width, None)])
+    graph.block.insert_before(anchor, concat)
+    return concat.result
+
+
 # ---------------------------------------------------------------------------
 # canonicalize: operand ordering, algebraic identities, wiring folds
 # ---------------------------------------------------------------------------
@@ -122,6 +152,80 @@ def _order_commutative(graph: Graph) -> int:
             op.set_operand(1, lhs)
             swapped += 1
     return swapped
+
+
+def _simplify_algebraic(op: Operation) -> Optional[Value]:
+    """Identity simplifications that do not require all operands constant."""
+    name = op.name
+    if name in ("comb.add", "comb.sub", "comb.or", "comb.xor", "comb.shl",
+                "comb.shru"):
+        rhs = _constant_value(op.operands[1])
+        if rhs == 0 and op.operands[0].width == op.result.width:
+            return op.operands[0]
+    if name in ("comb.add", "comb.or", "comb.xor"):
+        lhs = _constant_value(op.operands[0])
+        if lhs == 0 and op.operands[1].width == op.result.width:
+            return op.operands[1]
+    if name == "comb.mul":
+        if _constant_value(op.operands[1]) == 1:
+            return op.operands[0]
+        if _constant_value(op.operands[0]) == 1:
+            return op.operands[1]
+    if name == "comb.and":
+        all_ones = (1 << op.result.width) - 1
+        if _constant_value(op.operands[1]) == all_ones:
+            return op.operands[0]
+        if _constant_value(op.operands[0]) == all_ones:
+            return op.operands[1]
+    if name == "comb.mux":
+        cond = _constant_value(op.operands[0])
+        if cond is not None:
+            return op.operands[1] if cond else op.operands[2]
+        if op.operands[1] is op.operands[2]:
+            return op.operands[1]
+    if name == "comb.extract":
+        if op.attr("low") == 0 and op.result.width == op.operands[0].width:
+            return op.operands[0]
+    if name == "comb.concat" and len(op.operands) == 1:
+        return op.operands[0]
+    return None
+
+
+def _rewrite_constant_shift(graph: Graph, op: Operation) -> bool:
+    """Shifts by a constant amount are wiring, not shifters: rewrite them to
+    extract/concat so neither area nor delay is attributed to them."""
+    amount = _constant_value(op.operands[1])
+    if amount is None or amount == 0:
+        return False
+    value = op.operands[0]
+    width = op.result.width
+    if op.name != "comb.shrs":
+        replacement = _shift_wiring(graph, op, value, amount,
+                                    right=op.name == "comb.shru")
+    elif amount >= width:
+        return False
+    else:
+        # Arithmetic shift: the high bits replicate the sign bit.
+        keep = width - amount
+        high = Operation("comb.extract", [value], [(keep, None)],
+                         {"low": amount})
+        graph.block.insert_before(op, high)
+        msb = Operation("comb.extract", [value], [(1, None)],
+                        {"low": width - 1})
+        graph.block.insert_before(op, msb)
+        fill = msb.result
+        if amount > 1:
+            rep = Operation("comb.replicate", [msb.result],
+                            [(amount, None)])
+            graph.block.insert_before(op, rep)
+            fill = rep.result
+        concat = Operation("comb.concat", [fill, high.result],
+                           [(width, None)])
+        graph.block.insert_before(op, concat)
+        replacement = concat.result
+    op.result.replace_all_uses_with(replacement)
+    op.erase()
+    return True
 
 
 def _simplify_self_inverse(graph: Graph, op: Operation) -> bool:
@@ -461,6 +565,19 @@ def _apply_self_inverse(graph: Graph, op: Operation) -> Optional[str]:
     return "removed" if _simplify_self_inverse(graph, op) else None
 
 
+def _apply_fold(graph: Graph, op: Operation) -> Optional[str]:
+    """Replace an op whose operands are all constants by the constant its
+    dialect folder computes."""
+    folder = op.opdef.folder
+    if folder is None:
+        return None
+    result = folder(op, [_constant_value(v) for v in op.operands])
+    if result is None:
+        return None
+    _replace(op, _make_constant(graph, op, result, op.result.width))
+    return "rewritten"
+
+
 def _as_rewrite(
         helper: Callable[[Graph, Operation], bool],
 ) -> Callable[[Graph, Operation], Optional[str]]:
@@ -469,10 +586,13 @@ def _as_rewrite(
     return rule
 
 
-#: Per-op-name canonicalization rules, tried in order.  Dispatching by
-#: name keeps the hot path linear: an op only pays for the helpers that
-#: can possibly apply to it, and the bulk of a lowered graph (constants,
-#: wiring extracts/concats, interface ops) skips almost everything.
+_shift_rule = _as_rewrite(_rewrite_constant_shift)
+
+#: Per-op-name canonicalization rules for ``-O1``/``-O2``, tried in order.
+#: Dispatching by name keeps the hot path linear: an op only pays for the
+#: helpers that can possibly apply to it, and the bulk of a lowered graph
+#: (constants, wiring extracts/concats, interface ops) skips almost
+#: everything.
 _CANON_RULES: Dict[str, Tuple] = {
     "comb.add": (_apply_algebraic, _as_rewrite(_fold_disjoint_bits)),
     "comb.sub": (_apply_algebraic, _apply_self_inverse),
@@ -482,9 +602,9 @@ _CANON_RULES: Dict[str, Tuple] = {
                  _as_rewrite(_fold_mux_not)),
     "comb.mul": (_apply_algebraic, _apply_self_inverse),
     "comb.and": (_apply_algebraic, _apply_self_inverse),
-    "comb.shl": (_apply_algebraic, _as_rewrite(_rewrite_constant_shift)),
-    "comb.shru": (_apply_algebraic, _as_rewrite(_rewrite_constant_shift)),
-    "comb.shrs": (_as_rewrite(_rewrite_constant_shift),),
+    "comb.shl": (_apply_algebraic, _shift_rule),
+    "comb.shru": (_apply_algebraic, _shift_rule),
+    "comb.shrs": (_shift_rule,),
     "comb.mux": (_apply_algebraic, _as_rewrite(_fold_mux_not)),
     "comb.not": (_as_rewrite(_fold_mux_not),),
     "comb.extract": (_apply_algebraic, _as_rewrite(_fold_extract),
@@ -493,63 +613,48 @@ _CANON_RULES: Dict[str, Tuple] = {
     "comb.concat": (_apply_algebraic, _as_rewrite(_fold_concat)),
 }
 
+#: The subset lowering runs on every converted graph (paper Section 4.5's
+#: "usual canonicalization patterns"): algebraic identities, constant
+#: shifts to wiring, and folding through the dialect folders.  It has no
+#: commutative reordering, so ``-O0`` output keeps the converter's operand
+#: order.
+_LOWERING_RULES: Dict[str, Tuple] = {
+    **{name: (_apply_algebraic, _apply_fold) for name in (
+        "comb.add", "comb.sub", "comb.mul", "comb.and", "comb.or",
+        "comb.xor", "comb.mux", "comb.extract", "comb.concat")},
+    "comb.shl": (_apply_algebraic, _shift_rule, _apply_fold),
+    "comb.shru": (_apply_algebraic, _shift_rule, _apply_fold),
+    "comb.shrs": (_shift_rule, _apply_fold),
+    **{name: (_apply_fold,) for name in (
+        "comb.divu", "comb.divs", "comb.modu", "comb.mods", "comb.not",
+        "comb.icmp", "comb.replicate", "comb.rom")},
+}
 
-def _try_canonicalize(graph: Graph, op: Operation) -> Optional[str]:
-    """Attempt one canonicalization rewrite on ``op``; returns "removed",
-    "rewritten", or None when the op is already in normal form."""
-    rules = _CANON_RULES.get(op.name)
-    if rules is None or op.parent is None or not _is_pure(op):
-        return None
-    if len(op.results) != 1:
-        return None
-    for rule in rules:
-        kind = rule(graph, op)
-        if kind is not None:
-            return kind
-    return None
 
+def _drain(graph: Graph, rules: Dict[str, Tuple]) -> Tuple[int, int]:
+    """One seed-and-drain iteration of the canonicalization worklist:
+    returns how many ops a rule removed and rewrote.
 
-def canonicalize_pass(graph: Graph) -> Tuple[int, int]:
-    """Commutative-operand ordering plus algebraic and wiring folds.
-
-    Worklist-driven: every rule-bearing op is visited once, and a
-    successful rewrite re-enqueues only its neighborhood (users of the
-    rewritten result and remaining users of its former operands, whose
-    use counts changed) — not the whole graph.  The local re-enqueue is
-    deliberately incomplete (eager dead-tree erasure drops use counts
-    deep inside dead feeders, and rules do not enqueue the ops they
-    create), so the driver reseeds and drains until a whole iteration
-    is quiet: the pass returns at its own fixpoint, which the pass
-    manager's dirty tracking relies on.  The fixpoint matches a
-    sweep-until-quiet driver, reached in O(changes) local visits plus
-    one quiet confirmation drain instead of O(changes x graph) sweeps.
+    Every op with rules is visited once, and a successful rewrite
+    re-enqueues only its neighborhood (users of the rewritten result and
+    remaining users of its former operands, whose use counts changed) —
+    not the whole graph.  The local re-enqueue is deliberately incomplete
+    (eager dead-tree erasure drops use counts deep inside dead feeders,
+    and rules do not enqueue the ops they create), so callers reseed and
+    drain until a whole iteration is quiet.  That fixpoint matches a
+    sweep-until-quiet driver, reached in O(changes) local visits plus one
+    quiet confirmation drain instead of O(changes x graph) sweeps.
     """
-    before = len(graph.operations)
-    rewritten = 0
-    while True:
-        swaps = _order_commutative(graph)
-        iter_removed, iter_rewritten = _drain_canonicalize(graph)
-        # Every fired rule modified or replaced an op; ``removed`` is the
-        # net size delta (rules erase whole dead feeder trees eagerly,
-        # and some removals mint a replacement constant, so per-rule
-        # counts would be dishonest in both directions).
-        rewritten += swaps + iter_removed + iter_rewritten
-        if swaps == 0 and iter_removed == 0 and iter_rewritten == 0:
-            return max(0, before - len(graph.operations)), rewritten
-
-
-def _drain_canonicalize(graph: Graph) -> Tuple[int, int]:
-    """One seed-and-drain iteration of the canonicalize worklist."""
     removed = 0
     rewritten = 0
-    rules_for = _CANON_RULES.get
-    pending = deque(op for op in graph.operations if op.name in _CANON_RULES)
+    rules_for = rules.get
+    pending = deque(op for op in graph.operations if op.name in rules)
     queued = set(pending)
     while pending:
         op = pending.popleft()
         queued.discard(op)
-        rules = rules_for(op.name)
-        if rules is None or op.parent is None or not _is_pure(op) \
+        op_rules = rules_for(op.name)
+        if op_rules is None or op.parent is None or not _is_pure(op) \
                 or len(op.results) != 1:
             continue
         # Snapshot the neighborhood before rewriting: a replacement moves
@@ -558,7 +663,7 @@ def _drain_canonicalize(graph: Graph) -> Tuple[int, int]:
         users_before = [use_op for use_op, _ in op.result.uses]
         operands_before = list(op.operands)
         kind = None
-        for rule in rules:
+        for rule in op_rules:
             kind = rule(graph, op)
             if kind is not None:
                 break
@@ -575,15 +680,64 @@ def _drain_canonicalize(graph: Graph) -> Tuple[int, int]:
             touched.append(op)
         for target in touched:
             if target.parent is not None and target not in queued \
-                    and target.name in _CANON_RULES:
+                    and target.name in rules:
                 queued.add(target)
                 pending.append(target)
     return removed, rewritten
 
 
+def canonicalize_pass(graph: Graph) -> Tuple[int, int]:
+    """Commutative-operand ordering plus the :data:`_CANON_RULES` folds,
+    reseeding the worklist until a whole iteration is quiet: the pass
+    returns at its own fixpoint, which the pass manager's dirty tracking
+    relies on."""
+    before = len(graph.operations)
+    rewritten = 0
+    while True:
+        swaps = _order_commutative(graph)
+        iter_removed, iter_rewritten = _drain(graph, _CANON_RULES)
+        # Every fired rule modified or replaced an op; ``removed`` is the
+        # net size delta (rules erase whole dead feeder trees eagerly,
+        # and some removals mint a replacement constant, so per-rule
+        # counts would be dishonest in both directions).
+        rewritten += swaps + iter_removed + iter_rewritten
+        if swaps == 0 and iter_removed == 0 and iter_rewritten == 0:
+            return max(0, before - len(graph.operations)), rewritten
+
+
+def canonicalize_lowered(graph: Graph) -> None:
+    """Lowering-time cleanup: the :data:`_LOWERING_RULES` subset through
+    the same worklist, then constant dedup and DCE, until nothing
+    changes."""
+    while True:
+        removed, rewritten = _drain(graph, _LOWERING_RULES)
+        if not (removed + rewritten + dedupe_constants(graph)
+                + graph.remove_dead_code()):
+            return
+
+
 # ---------------------------------------------------------------------------
 # propagate: constant folding through registered folders + constant dedup
 # ---------------------------------------------------------------------------
+
+def dedupe_constants(graph: Graph) -> int:
+    """Merge identical ``comb.constant`` operations into the first one;
+    returns the number merged away."""
+    seen: Dict[tuple, Value] = {}
+    removed = 0
+    for op in list(graph.operations):
+        if op.name != "comb.constant":
+            continue
+        key = (op.attr("value"), op.result.width)
+        existing = seen.get(key)
+        if existing is None:
+            seen[key] = op.result
+        else:
+            op.result.replace_all_uses_with(existing)
+            op.erase()
+            removed += 1
+    return removed
+
 
 def propagate_pass(graph: Graph) -> Tuple[int, int]:
     """Fold pure ops whose operands are all constants, then merge identical
@@ -595,19 +749,11 @@ def propagate_pass(graph: Graph) -> Tuple[int, int]:
     # before their anchor), so one in-order sweep folds whole chains:
     # a folded op is a constant by the time its users are visited.
     for op in list(graph.operations):
-        if op.name == "comb.constant" or not _is_pure(op):
+        if op.name == "comb.constant" or not _is_pure(op) \
+                or len(op.results) != 1:
             continue
-        if len(op.results) != 1:
-            continue
-        folder = op.opdef.folder
-        if folder is None:
-            continue
-        operand_values = [_constant_value(v) for v in op.operands]
-        result = folder(op, operand_values)
-        if result is None:
-            continue
-        _replace(op, _make_constant(graph, op, result, op.result.width))
-        rewritten += 1
+        if _apply_fold(graph, op) is not None:
+            rewritten += 1
     dedupe_constants(graph)
     # Erased net of replacements: folds eagerly drop their now-dead
     # feeder constants, so the graph-size delta is the honest count.
@@ -691,23 +837,6 @@ def _reduce_mul(graph: Graph, op: Operation) -> bool:
     return False
 
 
-def _shift_wiring(graph: Graph, anchor: Operation, value: Value,
-                  amount: int) -> Value:
-    """Build ``value << amount`` as extract/concat wiring (no shifter)."""
-    width = value.width
-    if amount == 0:
-        return value
-    if amount >= width:
-        return _make_constant(graph, anchor, 0, width)
-    keep = width - amount
-    low = Operation("comb.extract", [value], [(keep, None)], {"low": 0})
-    graph.block.insert_before(anchor, low)
-    pad = _make_constant(graph, anchor, 0, amount)
-    concat = Operation("comb.concat", [low.result, pad], [(width, None)])
-    graph.block.insert_before(anchor, concat)
-    return concat.result
-
-
 def _shrink_divmod(graph: Graph, op: Operation) -> bool:
     """Unsigned div/mod by powers of two -> wiring/mask; any div/mod by 1.
     Signed power-of-two division rounds toward zero, not minus infinity,
@@ -729,18 +858,8 @@ def _shrink_divmod(graph: Graph, op: Operation) -> bool:
         return False
     amount = const.bit_length() - 1
     if op.name == "comb.divu":
-        # x >> amount as wiring: zero-extend the top width-amount bits.
-        keep = width - amount
-        if keep <= 0:
-            _replace(op, _make_constant(graph, op, 0, width))
-            return True
-        high = Operation("comb.extract", [op.operands[0]], [(keep, None)],
-                         {"low": amount})
-        graph.block.insert_before(op, high)
-        pad = _make_constant(graph, op, 0, amount)
-        concat = Operation("comb.concat", [pad, high.result], [(width, None)])
-        graph.block.insert_before(op, concat)
-        _replace(op, concat.result)
+        _replace(op, _shift_wiring(graph, op, op.operands[0], amount,
+                                   right=True))
         return True
     if op.name == "comb.modu":
         mask_const = _make_constant(graph, op, const - 1, width)

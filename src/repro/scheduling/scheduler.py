@@ -21,6 +21,7 @@ Building the problem:
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
@@ -44,6 +45,7 @@ from repro.scheduling.problem import (
     OperatorType,
     ScheduleError,
 )
+from repro.utils.diagnostics import CoreDSLError
 
 DelayModel = Callable[[Operation], float]
 
@@ -57,6 +59,16 @@ FREE_OPS = ("comb.constant", "comb.extract", "comb.concat", "comb.replicate")
 #: Clock-to-Q plus setup margin reserved out of every cycle (ns); matches
 #: the sequential overhead the evaluation's timing analysis charges.
 CLOCK_MARGIN_NS = 0.08
+
+
+def check_cycle_time(cycle_time_ns: Optional[float]) -> None:
+    """Reject a requested cycle time that is not a finite, positive number
+    of nanoseconds (``None`` selects the datasheet's)."""
+    if cycle_time_ns is not None and not (
+            math.isfinite(cycle_time_ns) and cycle_time_ns > 0):
+        raise CoreDSLError(
+            "cycle time must be a finite, positive number of ns, "
+            f"got {cycle_time_ns!r}")
 
 
 def uniform_delay_model(delay_ns: float = 1.25) -> DelayModel:
@@ -181,6 +193,7 @@ def build_problem(graph: Graph, datasheet: VirtualDatasheet,
                   delay_model: Optional[DelayModel] = None,
                   cycle_time_ns: Optional[float] = None) -> LongnailProblem:
     """Construct the LongnailProblem for a lil graph (Table 2 modeling)."""
+    check_cycle_time(cycle_time_ns)
     delay_model = delay_model or default_delay_model()
     cycle_time = cycle_time_ns or datasheet.cycle_time_ns
     # Reserve the sequential overhead so scheduled stages meet timing.
@@ -403,6 +416,7 @@ class LongnailScheduler:
                  engine: str = "auto",
                  schedule_cache: Union[ScheduleCache, None, bool] = None,
                  fingerprint_salt: str = ""):
+        check_cycle_time(cycle_time_ns)
         self.datasheet = datasheet
         self.delay_model = delay_model or default_delay_model()
         self.cycle_time_ns = cycle_time_ns or datasheet.cycle_time_ns

@@ -288,6 +288,10 @@ class CompileServerApp:
         body = request.json()
         source = body.get("source")
         isax = body.get("isax")
+        if source is not None and not isinstance(source, str):
+            raise HttpError(400, "'source' must be a string of CoreDSL")
+        if isax is not None and not isinstance(isax, str):
+            raise HttpError(400, "'isax' must be a string")
         if source is None:
             if not isax:
                 raise HttpError(400, "need 'source' or a built-in 'isax'")

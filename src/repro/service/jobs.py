@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.opt.pipeline import OptOptions
 from repro.scaiev.cores import core_datasheet
 from repro.scaiev.datasheet import VirtualDatasheet
+from repro.scheduling.scheduler import check_cycle_time
 from repro.utils import yaml_lite
 from repro.utils.diagnostics import CoreDSLError
 
@@ -90,7 +91,9 @@ class CompileJob:
     def cache_key(self) -> str:
         """Content-addressed key: source text + datasheet + scheduler
         options.  Editing any of them (even re-deriving the datasheet from
-        a changed core description) produces a different key."""
+        a changed core description) produces a different key.  Raises
+        :class:`CoreDSLError` for an invalid cycle time or core."""
+        check_cycle_time(self.cycle_time_ns)
         datasheet = self.resolve_datasheet()
         return digest(
             CACHE_FORMAT_VERSION,

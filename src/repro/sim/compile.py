@@ -42,7 +42,12 @@ import threading
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.absint import RangeFacts, analyze_module, slice_source
+from repro.analysis.absint import (
+    RangeFacts,
+    analyze_module,
+    netlist_digest,
+    slice_source,
+)
 from repro.dialects import comb
 from repro.dialects.hw import HWModule
 from repro.ir.core import IRError, Operation
@@ -135,30 +140,9 @@ _CACHE_LOCK = threading.RLock()
 CODEGEN_COUNTS: Dict[str, int] = {"scalar": 0, "batched": 0, "schedules": 0}
 
 
-def _netlist_digest(module: HWModule) -> Tuple[str, ...]:
-    """Structural fingerprint of the netlist: op kinds, connectivity,
-    result widths and attributes (plus port shapes).  Cheap enough to
-    recompute per simulator construction; any in-place edit changes it."""
-    index: Dict[object, int] = {}
-    parts: List[str] = [
-        ",".join(f"{p.name}:{p.direction}:{p.width}" for p in module.ports)
-    ]
-    for op in module.body.operations:
-        operands = ",".join(
-            str(index.get(operand, -1)) for operand in op.operands)
-        for value in op.results:
-            index[value] = len(index)
-        attrs = repr(sorted(
-            (k, tuple(v) if isinstance(v, list) else v)
-            for k, v in op.attributes.items()))
-        widths = ",".join(str(r.width) for r in op.results)
-        parts.append(f"{op.name}({operands})->{widths}{attrs}")
-    return tuple(parts)
-
-
 def _cache_entry(module: HWModule) -> _ModuleCacheEntry:
     """The module's cache entry, (re)built when the netlist changed."""
-    digest = _netlist_digest(module)
+    digest = netlist_digest(module)
     with _CACHE_LOCK:
         entry = _MODULE_CACHE.get(module)
         if entry is None or entry.digest != digest:

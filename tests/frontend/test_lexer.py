@@ -69,6 +69,23 @@ class TestNumbers:
     def test_underscores(self):
         assert tokenize("1_000_000")[0].value == 1000000
 
+    def test_leading_zero_is_octal(self):
+        assert tokenize("010")[0].value == 8
+        assert tokenize("0001011")[0].value == 0o1011
+        assert tokenize("0")[0].value == 0
+        assert tokenize("00")[0].value == 0
+        toks = tokenize("x = 010;")
+        assert [t.text for t in toks[:-1]] == ["x", "=", "010", ";"]
+        assert toks[2].value == 8
+
+    @pytest.mark.parametrize("text", ["08", "09", "0_8", "x = 0019;"])
+    def test_non_octal_digit_rejected_with_location(self, text):
+        with pytest.raises(CoreDSLError) as excinfo:
+            tokenize(text, filename="lit.core_desc")
+        assert "invalid digits" in str(excinfo.value)
+        assert excinfo.value.loc.filename == "lit.core_desc"
+        assert excinfo.value.loc.column == text.index("0") + 1
+
     def test_verilog_decimal(self):
         tok = tokenize("6'd42")[0]
         assert tok.kind == "verilog_number"

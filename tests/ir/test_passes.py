@@ -1,4 +1,4 @@
-"""Tests for canonicalization: constant folding, dedup, DCE."""
+"""Tests for lowering-time canonicalization: constant folding, dedup, DCE."""
 
 import pytest
 from hypothesis import given
@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 import repro.dialects  # noqa: F401
 from repro.dialects import comb
 from repro.ir.builder import Builder
+from repro.frontend import elaborate
 from repro.ir.core import Graph, Operation
-from repro.ir.passes import canonicalize, dedupe_constants, fold_constants
+from repro.ir.printer import print_graph
+from repro.isaxes.sources import ALL_ISAXES
+from repro.lowering import convert_to_lil, lower_isa
+from repro.opt.passes import canonicalize_lowered, dedupe_constants
 from repro.utils.bits import to_signed, to_unsigned
 
 
@@ -36,7 +40,7 @@ class TestFolding:
         b = builder.constant(4, 8)
         add = builder.create("comb.add", [a, b], [(8, None)])
         keep(builder, add.result)
-        canonicalize(graph)
+        canonicalize_lowered(graph)
         constants = [op for op in graph.operations if op.name == "comb.constant"]
         values = {op.attr("value") for op in constants}
         assert 7 in values
@@ -48,7 +52,7 @@ class TestFolding:
         b = builder.constant(2, 8)
         add = builder.create("comb.add", [a, b], [(8, None)])
         keep(builder, add.result)
-        canonicalize(graph)
+        canonicalize_lowered(graph)
         values = {op.attr("value") for op in graph.operations
                   if op.name == "comb.constant"}
         assert 1 in values
@@ -60,7 +64,7 @@ class TestFolding:
         b = builder.create("comb.constant", [], [(8, None)], {"value": 20}).result
         mux = builder.create("comb.mux", [cond, a, b], [(8, None)])
         keep(builder, mux.result)
-        canonicalize(graph)
+        canonicalize_lowered(graph)
         assert not any(op.name == "comb.mux" for op in graph.operations)
 
     def test_add_zero_identity(self):
@@ -70,7 +74,7 @@ class TestFolding:
         add = builder.create("comb.add", [x.result, zero], [(32, None)])
         pred = builder.constant(1, 1)
         builder.create("lil.write_rd", [add.result, pred], [])
-        canonicalize(graph)
+        canonicalize_lowered(graph)
         assert not any(op.name == "comb.add" for op in graph.operations)
         write = next(op for op in graph.operations if op.name == "lil.write_rd")
         assert write.operands[0] is x.result
@@ -85,7 +89,7 @@ class TestFolding:
                              [(32, None)])
         pred = builder.constant(1, 1)
         builder.create("lil.write_rd", [mux.result, pred], [])
-        canonicalize(graph)
+        canonicalize_lowered(graph)
         assert not any(op.name == "comb.mux" for op in graph.operations)
 
     def test_dedupe_constants(self):
@@ -101,8 +105,27 @@ class TestFolding:
         graph, builder = make_graph()
         read = builder.create("lil.read_rs1", [], [(32, None)])
         keep(builder, read.result)
-        canonicalize(graph)
+        canonicalize_lowered(graph)
         assert any(op.name == "lil.read_rs1" for op in graph.operations)
+
+
+def _table3_graphs():
+    for isax, source in ALL_ISAXES.items():
+        isa = elaborate(source)
+        lowered = lower_isa(isa)
+        containers = {**lowered.instructions, **lowered.always_blocks}
+        for name, container in containers.items():
+            yield pytest.param(isa, container, id=f"{isax}-{name}")
+
+
+@pytest.mark.parametrize("isa,container", list(_table3_graphs()))
+def test_lowering_cleanup_is_idempotent(isa, container):
+    """Every lil graph leaves lowering at the cleanup's fixpoint: a second
+    run changes nothing, not even the operation order."""
+    graph = convert_to_lil(isa, container)
+    before = print_graph(graph)
+    canonicalize_lowered(graph)
+    assert print_graph(graph) == before
 
 
 class TestEvaluation:

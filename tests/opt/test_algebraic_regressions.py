@@ -9,7 +9,7 @@ multiplicative/mask identities the optimizer's canonicalize pass relies on.
 import repro.dialects  # noqa: F401
 from repro.ir.builder import Builder
 from repro.ir.core import Graph
-from repro.ir.passes import _simplify_algebraic
+from repro.opt.passes import _simplify_algebraic
 
 
 def _prep(width=8):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import elaborate
+from repro.hls import compile_isax
+from repro.isaxes import DOTPROD
 from repro.lowering import convert_to_lil, lower_isa
 from repro.scaiev import core_datasheet
 from repro.scheduling import (
@@ -18,6 +20,8 @@ from repro.scheduling import (
 )
 from repro.scheduling import ilp
 from repro.scheduling.chaining import compute_start_times_in_cycle
+from repro.service.jobs import CompileJob
+from repro.utils.diagnostics import CoreDSLError
 
 ADDI = '''
 import "RV32I.core_desc"
@@ -230,3 +234,22 @@ class TestAlwaysScheduling:
         )
         with pytest.raises(ScheduleError, match="exceeds the cycle time"):
             scheduler.schedule(graph)
+
+
+class TestCycleTimeValidation:
+    """A requested cycle time must be a finite, positive number of ns;
+    ``None`` alone selects the datasheet's."""
+
+    BAD = [-1.0, 0.0, 0, float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("cycle", BAD)
+    def test_compile_isax_rejects(self, cycle):
+        with pytest.raises(CoreDSLError, match="cycle time"):
+            compile_isax(DOTPROD, "VexRiscv", cycle_time_ns=cycle)
+
+    @pytest.mark.parametrize("cycle", BAD)
+    def test_compile_job_cache_key_rejects(self, cycle):
+        job = CompileJob(isax="dotprod", source=DOTPROD, core="VexRiscv",
+                         cycle_time_ns=cycle)
+        with pytest.raises(CoreDSLError, match="cycle time"):
+            job.cache_key()

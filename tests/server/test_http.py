@@ -162,6 +162,38 @@ class TestErrorPaths:
 
         run_http(body, workers=1)
 
+    def test_invalid_cycle_time_is_400(self, tmp_path):
+        async def body(client, core):
+            for cycle in (-1, 0, float("nan"), float("inf")):
+                with pytest.raises(CompileServerError) as excinfo:
+                    await client.compile(isax="dotprod", core="VexRiscv",
+                                         cycle_time_ns=cycle)
+                assert excinfo.value.status == 400
+                assert "cycle time" in str(excinfo.value)
+            assert core.counters.submitted == 0
+
+        run_http(body, workers=1)
+
+    def test_malformed_field_types_are_400(self, tmp_path):
+        async def body(client, core):
+            for request in ({"source": 5}, {"source": ["x"]},
+                            {"isax": 5}):
+                with pytest.raises(CompileServerError) as excinfo:
+                    await client._request("POST", "/v1/compile", request)
+                assert excinfo.value.status == 400
+
+            for bad in ({"budget": "x"}, {"budget": 2.5},
+                        {"budget": True}, {"trials": None},
+                        {"core": 5}, {"kernel": 5}):
+                request = {"kernel": "array_sum", **bad}
+                with pytest.raises(CompileServerError) as excinfo:
+                    await client._request("POST", "/v1/discover", request)
+                assert excinfo.value.status == 400
+                assert "must be" in str(excinfo.value)
+            assert core.counters.submitted == 0
+
+        run_http(body, workers=1)
+
     def test_task_keys_must_be_content_digests(self, tmp_path):
         """The cache key is a filesystem path component downstream — the
         server only accepts hex digests, never client-chosen paths."""

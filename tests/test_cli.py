@@ -32,6 +32,16 @@ class TestCompile:
                    "-o", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("cycle", ["-1", "0", "nan", "inf"])
+    def test_invalid_cycle_time_is_error(self, zol_file, tmp_path, capsys,
+                                         cycle):
+        rc = main(["compile", str(zol_file), f"--cycle-time={cycle}",
+                   "-o", str(tmp_path)])
+        assert rc == 1
+        assert "cycle time must be a finite, positive number" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.sv"))
+
     def test_compile_asap_engine(self, zol_file, tmp_path):
         assert main(["compile", str(zol_file), "--engine", "asap",
                      "-o", str(tmp_path)]) == 0
