@@ -17,9 +17,13 @@ The RTL simulator (:mod:`repro.sim.rtl_sim`) and the SystemVerilog printer
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+import threading
+import weakref
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.ir.core import Graph, IRError, OpDef, Operation, register_op
+
+_T = TypeVar("_T")
 
 
 def _verify_named(op: Operation) -> None:
@@ -49,11 +53,15 @@ register_op(OpDef("hw.output", num_results=0, has_side_effects=True,
 register_op(OpDef("seq.compreg", has_side_effects=True, verifier=_verify_compreg))
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Port:
     """A module port.  ``direction`` is "in" or "out"; ``stage`` records the
     pipeline stage the port is active in (the numerical suffixes of paper
-    Figure 5d), and ``role`` ties it back to the scheduled interface op."""
+    Figure 5d), and ``role`` ties it back to the scheduled interface op.
+
+    Frozen: ports change only through :meth:`HWModule.add_input` and
+    :meth:`HWModule.add_output`, which also append a body op (and so move
+    the body's epoch)."""
 
     name: str
     direction: str
@@ -132,3 +140,50 @@ class HWModule:
             f"<HWModule {self.name}: {len(self.inputs)} in, "
             f"{len(self.outputs)} out, {len(self.body.operations)} ops>"
         )
+
+
+class ModuleMemo:
+    """Weak-keyed per-module memo, valid while the body's epoch holds.
+
+    :meth:`get` returns the memoized ``build(module)`` under ``key``; every
+    key of a module is dropped together once ``module.body.block.epoch``
+    moves (any edit under the :mod:`repro.ir.core` mutation contract).
+    ``counts`` is the owner's counter dict: ``counts[key]`` counts builds
+    and ``counts[hit_key]`` (when given) counts hits.
+    """
+
+    def __init__(self, counts: Dict[str, int],
+                 hit_key: Optional[str] = None) -> None:
+        self.counts = counts
+        self.hit_key = hit_key
+        self.lock = threading.RLock()
+        self._entries: weakref.WeakKeyDictionary[
+            HWModule, Tuple[int, Dict[str, Any]]] = weakref.WeakKeyDictionary()
+
+    def get(self, module: HWModule, key: str,
+            build: Callable[[HWModule], _T]) -> _T:
+        epoch = module.body.block.epoch
+        with self.lock:
+            entry = self._entries.get(module)
+            if entry is None or entry[0] != epoch:
+                entry = (epoch, {})
+                self._entries[module] = entry
+            values = entry[1]
+            if key in values:
+                if self.hit_key is not None:
+                    self.counts[self.hit_key] += 1
+                return values[key]
+            self.counts[key] += 1
+            values[key] = build(module)
+            return values[key]
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        with self.lock:
+            self._entries.clear()
+            for key in self.counts:
+                self.counts[key] = 0
+
+    def stats(self) -> Dict[str, int]:
+        with self.lock:
+            return dict(self.counts)

@@ -8,6 +8,16 @@ a dictionary of attributes, and may carry nested :class:`Region`s of
 Values carry a ``width`` (bits) and an optional ``signed`` flag: ``None``
 means *signless* (the ``comb``/``lil``/``hw`` dialects, like CIRCT's), while
 ``True``/``False`` is used by the ``hwarith``/``coredsl`` level.
+
+Every :class:`Block` keeps a mutation ``epoch``, an int bumped by each edit
+of its operations.  Per-module memos (simulator codegen, range facts) stay
+valid while the epoch is unchanged, so they never re-hash the IR to learn
+that nothing moved.  The mutation contract that keeps the epoch honest:
+edit IR only through the :class:`Block`/:class:`Operation` API (``append``,
+``insert_before``, ``append_operand``, ``set_operand``,
+``replace_all_uses_with``, ``erase``), item writes to ``op.attributes``, or
+a write to a result's ``Value.width``; never edit ``block.operations`` or
+``op.operands`` lists directly.  Reads stay plain attribute reads.
 """
 
 from __future__ import annotations
@@ -60,24 +70,98 @@ def lookup_op(name: str) -> OpDef:
 
 
 # ---------------------------------------------------------------------------
+# Mutation epochs
+# ---------------------------------------------------------------------------
+
+def _touch(operation: "Operation") -> None:
+    """Bump the epoch of the block holding ``operation`` (if any)."""
+    block = operation.parent
+    if block is not None:
+        block.epoch += 1
+
+
+class _Attributes(Dict[str, Any]):
+    """``Operation.attributes``: a dict whose writes bump the owning
+    operation's block epoch.  Reads are the inherited C methods."""
+
+    __slots__ = ("op",)
+    op: "Operation"
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        dict.__setitem__(self, key, value)
+        _touch(self.op)
+
+    def __delitem__(self, key: str) -> None:
+        dict.__delitem__(self, key)
+        _touch(self.op)
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        dict.update(self, *args, **kwargs)
+        _touch(self.op)
+
+    def pop(self, *args: Any) -> Any:
+        value = dict.pop(self, *args)
+        _touch(self.op)
+        return value
+
+    def setdefault(self, key: str, default: Any = None) -> Any:
+        value = dict.setdefault(self, key, default)
+        _touch(self.op)
+        return value
+
+    def popitem(self) -> Tuple[str, Any]:
+        item = dict.popitem(self)
+        _touch(self.op)
+        return item
+
+    def clear(self) -> None:
+        dict.clear(self)
+        _touch(self.op)
+
+    def __ior__(self, other: Any) -> "_Attributes":
+        self.update(other)
+        return self
+
+
+# ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
 
+#: Attribute writes that bypass :meth:`Value.__setattr__` (a C slot
+#: wrapper: construction pays no Python-level call).
+_setattr = object.__setattr__
+
+
 class Value:
-    """An SSA value: result of an operation or a block argument."""
+    """An SSA value: result of an operation or a block argument.
+
+    Writing ``width`` on an operation result bumps its block's epoch.
+    """
+
+    width: int
+    signed: Optional[bool]
+    owner: Optional["Operation"]
+    index: int
+    name: Optional[str]
+    #: Set of (operation, operand_index) pairs using this value.
+    uses: Set[Tuple["Operation", int]]
 
     def __init__(self, width: int, signed: Optional[bool] = None,
                  owner: Optional["Operation"] = None, index: int = 0,
                  name: Optional[str] = None) -> None:
         if width < 1:
             raise IRError(f"value width must be >= 1, got {width}")
-        self.width = width
-        self.signed = signed
-        self.owner = owner
-        self.index = index
-        self.name = name
-        #: Set of (operation, operand_index) pairs using this value.
-        self.uses: Set[Tuple["Operation", int]] = set()
+        _setattr(self, "width", width)
+        _setattr(self, "signed", signed)
+        _setattr(self, "owner", owner)
+        _setattr(self, "index", index)
+        _setattr(self, "name", name)
+        _setattr(self, "uses", set())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        _setattr(self, name, value)
+        if name == "width" and self.owner is not None:
+            _touch(self.owner)
 
     @property
     def is_block_argument(self) -> bool:
@@ -117,7 +201,9 @@ class Operation:
                  regions: Optional[List["Region"]] = None) -> None:
         self.name = name
         self.opdef = lookup_op(name)
-        self.attributes: Dict[str, Any] = dict(attributes or {})
+        attrs = _Attributes(attributes or ())
+        attrs.op = self
+        self.attributes: Dict[str, Any] = attrs
         self.operands: List[Value] = []
         self.parent: Optional[Block] = None
         self.regions: List[Region] = regions or []
@@ -135,12 +221,16 @@ class Operation:
         idx = len(self.operands)
         self.operands.append(value)
         value.uses.add((self, idx))
+        if self.parent is not None:
+            self.parent.epoch += 1
 
     def set_operand(self, index: int, value: Value) -> None:
         old = self.operands[index]
         old.uses.discard((self, index))
         self.operands[index] = value
         value.uses.add((self, index))
+        if self.parent is not None:
+            self.parent.epoch += 1
 
     # -- results ----------------------------------------------------------------
     @property
@@ -166,6 +256,7 @@ class Operation:
         self.operands = []
         if self.parent is not None:
             self.parent.operations.remove(self)
+            self.parent.epoch += 1
             self.parent = None
 
     def verify(self) -> None:
@@ -185,6 +276,13 @@ class Operation:
 # ---------------------------------------------------------------------------
 
 class Block:
+    """An ordered list of operations.
+
+    ``epoch`` changes on every edit of the block's operations (see the
+    module docstring for the mutation contract); memos compare it instead
+    of re-hashing the IR.
+    """
+
     def __init__(self, arg_types: Optional[List[Tuple[int, Optional[bool]]]] = None) -> None:
         self.arguments: List[Value] = [
             Value(width, signed, owner=None, index=i)
@@ -192,16 +290,19 @@ class Block:
         ]
         self.operations: List[Operation] = []
         self.parent: Optional[Region] = None
+        self.epoch = 0
 
     def append(self, operation: Operation) -> Operation:
         operation.parent = self
         self.operations.append(operation)
+        self.epoch += 1
         return operation
 
     def insert_before(self, anchor: Operation, operation: Operation) -> Operation:
         idx = self.operations.index(anchor)
         operation.parent = self
         self.operations.insert(idx, operation)
+        self.epoch += 1
         return operation
 
     def __iter__(self) -> Iterator["Operation"]:

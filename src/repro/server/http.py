@@ -61,6 +61,10 @@ DEFAULT_ALLOWED_RUNNERS = frozenset({
 
 _MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Deadline (seconds) for reading one whole request: line, headers and
+#: body.  A client that has not sent it by then gets 408 and is closed.
+_REQUEST_TIMEOUT_S = 30.0
+
 #: Client-supplied cache keys must look like content digests.  Every key
 #: the shipped clients send is a sha256 hexdigest; anything looser would
 #: flow into the on-disk cache's path construction.
@@ -106,14 +110,33 @@ class Request:
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 403: "Forbidden",
-    404: "Not Found", 405: "Method Not Allowed", 429: "Too Many Requests",
+    404: "Not Found", 405: "Method Not Allowed", 408: "Request Timeout",
+    429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+    """One request, or None on a clean close between requests."""
     try:
-        line = await reader.readline()
+        return await asyncio.wait_for(_read_request_parts(reader),
+                                      _REQUEST_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise HttpError(
+            408, f"request not received within {_REQUEST_TIMEOUT_S:g} s")
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # line longer than the stream's buffer limit
+        raise HttpError(400, "request line or header too long")
+
+
+async def _read_request_parts(
+        reader: asyncio.StreamReader) -> Optional[Request]:
+    try:
+        line = await _read_line(reader)
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
     if not line or line in (b"\r\n", b"\n"):
@@ -124,13 +147,16 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         raise HttpError(400, "malformed request line")
     headers: Dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        raw = await _read_line(reader)
         if raw in (b"\r\n", b"\n", b""):
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length < 0 or length > _MAX_BODY_BYTES:
+    declared = headers.get("content-length", "0") or "0"
+    if not re.fullmatch(r"[0-9]+", declared):
+        raise HttpError(400, f"malformed content-length {declared!r}")
+    length = int(declared)
+    if length > _MAX_BODY_BYTES:
         raise HttpError(400, f"unacceptable content-length {length}")
     body = await reader.readexactly(length) if length else b""
     parsed = urllib.parse.urlsplit(target)

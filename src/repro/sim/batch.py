@@ -50,7 +50,10 @@ _LANE_DTYPE = {"b": np.bool_, "u": np.uint64, "o": object}
 # ---------------------------------------------------------------------------
 
 def bool_to_uint64(x):
-    """Bool lanes -> uint64 lanes (0/1)."""
+    """Bool lanes -> uint64 lanes (0/1).  Constant-derived dataflow can
+    reach here as a Python bool (comparisons of object scalars)."""
+    if np.ndim(x) == 0:
+        return _U64(bool(x))
     return x.astype(_U64)
 
 

@@ -24,10 +24,15 @@ once over numpy arrays (see :class:`~repro.sim.batch.BatchedSimulator` and
 Both compilers are memoized per :class:`HWModule`: repeated simulator
 construction over the same netlist — the cosim memory-feedback fixpoint
 re-simulates each module up to 4x per trial, and ``verify_artifact`` runs
-dozens of trials — re-codegens nothing.  The cache is keyed by module
-identity *and* guarded by a structural digest, so in-place netlist edits
-(e.g. a test corrupting a ROM constant) invalidate the entry instead of
-resurrecting stale code.
+dozens of trials — re-codegens nothing.  The memo
+(:class:`~repro.dialects.hw.ModuleMemo`) is keyed by module identity and
+valid while the body block's mutation epoch is unchanged: every edit made
+through the IR API (appending, inserting or erasing ops, rewiring
+operands, writing ``op.attributes`` or a result's ``Value.width``) bumps
+the epoch, so in-place netlist edits (e.g. a test corrupting a ROM
+constant) invalidate the entry instead of resurrecting stale code, at
+O(1) cost per lookup.  Ports are frozen; edits that bypass the API (say,
+``block.operations.insert``) are not seen.
 
 Semantics are bit-identical to the interpreter by construction (the same
 evaluation rules from :mod:`repro.dialects.comb` are either inlined or
@@ -38,18 +43,15 @@ engine-equivalence comparison as a reusable differential oracle.
 from __future__ import annotations
 
 import random
-import threading
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.absint import (
     RangeFacts,
     analyze_module,
-    netlist_digest,
     slice_source,
 )
 from repro.dialects import comb
-from repro.dialects.hw import HWModule
+from repro.dialects.hw import HWModule, ModuleMemo
 from repro.ir.core import IRError, Operation
 from repro.utils.bits import mask
 
@@ -122,54 +124,38 @@ class BatchCompiledModule:
 # Per-module memoization
 # ---------------------------------------------------------------------------
 
-class _ModuleCacheEntry:
-    __slots__ = ("digest", "order", "compiled", "batched")
-
-    def __init__(self, digest: Tuple[str, ...], order: List[Operation]):
-        self.digest = digest
-        self.order = order
-        self.compiled: Optional[CompiledModule] = None
-        self.batched: Optional[BatchCompiledModule] = None
-
-
-_MODULE_CACHE: "weakref.WeakKeyDictionary[HWModule, _ModuleCacheEntry]" = \
-    weakref.WeakKeyDictionary()
-_CACHE_LOCK = threading.RLock()
 #: Codegen invocation counters, exposed for the memoization regression
 #: tests and benchmarks.
 CODEGEN_COUNTS: Dict[str, int] = {"scalar": 0, "batched": 0, "schedules": 0}
+#: Per-module schedule, scalar and batched compiles, keyed by the counter
+#: each one bumps when it is (re)built.
+_MEMO = ModuleMemo(CODEGEN_COUNTS)
 
 
-def _cache_entry(module: HWModule) -> _ModuleCacheEntry:
-    """The module's cache entry, (re)built when the netlist changed."""
-    digest = netlist_digest(module)
-    with _CACHE_LOCK:
-        entry = _MODULE_CACHE.get(module)
-        if entry is None or entry.digest != digest:
-            from repro.sim.rtl_sim import RTLSimulator
-            CODEGEN_COUNTS["schedules"] += 1
-            entry = _ModuleCacheEntry(digest, RTLSimulator._schedule(module))
-            _MODULE_CACHE[module] = entry
-        return entry
+def _build_schedule(module: HWModule) -> List[Operation]:
+    from repro.sim.rtl_sim import RTLSimulator
+    return RTLSimulator._schedule(module)
+
+
+def _schedule(module: HWModule) -> List[Operation]:
+    # The compilers read the schedule through this private name, so a
+    # wrapper installed on the public one sees only outside callers.
+    return _MEMO.get(module, "schedules", _build_schedule)
 
 
 def cached_schedule(module: HWModule) -> List[Operation]:
     """Register-first topological schedule, memoized per module."""
-    return _cache_entry(module).order
+    return _schedule(module)
 
 
 def clear_compile_cache() -> None:
     """Drop all memoized compiles and reset the counters (tests only)."""
-    with _CACHE_LOCK:
-        _MODULE_CACHE.clear()
-        for key in CODEGEN_COUNTS:
-            CODEGEN_COUNTS[key] = 0
+    _MEMO.clear()
 
 
 def compile_cache_stats() -> Dict[str, int]:
     """Snapshot of the codegen counters (for tests/benchmarks)."""
-    with _CACHE_LOCK:
-        return dict(CODEGEN_COUNTS)
+    return _MEMO.stats()
 
 
 # Signed comparisons on w-bit unsigned patterns: XORing each side with its
@@ -186,25 +172,23 @@ def compile_module(module: HWModule,
                    order: Optional[List[Operation]] = None) -> CompiledModule:
     """Code-generate and compile the per-cycle ``step`` for ``module``.
 
-    Memoized per module (digest-guarded): repeat calls on an unchanged
-    netlist return the same :class:`CompiledModule` without re-codegen.
-    ``order`` is the register-first topological schedule; when omitted (or
-    when it equals the memoized schedule) the cached one is used.  Raises
-    :class:`IRError` on operations without a generation rule.
+    Memoized per module while the body's mutation epoch holds: repeat
+    calls on an unchanged netlist return the same :class:`CompiledModule`
+    without re-codegen.  ``order`` is the register-first topological
+    schedule; when omitted (or when it equals the memoized schedule) the
+    cached one is used.  Raises :class:`IRError` on operations without a
+    generation rule.
     """
-    with _CACHE_LOCK:
-        entry = _cache_entry(module)
-        if order is not None and order != entry.order:
-            # Caller-supplied nonstandard schedule: compile fresh, uncached.
-            return _codegen_scalar(module, order)
-        if entry.compiled is None:
-            entry.compiled = _codegen_scalar(module, entry.order)
-        return entry.compiled
+    if order is not None and order != _schedule(module):
+        # Caller-supplied nonstandard schedule: compile fresh, uncached.
+        CODEGEN_COUNTS["scalar"] += 1
+        return _codegen_scalar(module, order)
+    return _MEMO.get(module, "scalar",
+                     lambda m: _codegen_scalar(m, _schedule(m)))
 
 
 def _codegen_scalar(module: HWModule,
                     order: List[Operation]) -> CompiledModule:
-    CODEGEN_COUNTS["scalar"] += 1
     names: Dict[object, str] = {}          # Value -> local variable name
     env: Dict[str, object] = {
         "_divu": comb._eval_divu,
@@ -389,13 +373,11 @@ def compile_module_batch(
     Memoized per module exactly like :func:`compile_module`.  Raises
     :class:`IRError` on operations without a generation rule.
     """
-    with _CACHE_LOCK:
-        entry = _cache_entry(module)
-        if order is not None and order != entry.order:
-            return _codegen_batch(module, order)
-        if entry.batched is None:
-            entry.batched = _codegen_batch(module, entry.order)
-        return entry.batched
+    if order is not None and order != _schedule(module):
+        CODEGEN_COUNTS["batched"] += 1
+        return _codegen_batch(module, order)
+    return _MEMO.get(module, "batched",
+                     lambda m: _codegen_batch(m, _schedule(m)))
 
 
 class _BatchEmitter:
@@ -415,9 +397,9 @@ class _BatchEmitter:
         # Value -> known compile-time constant (masked int), for folding.
         self.consts: Dict[object, int] = {}
         # Per-value range facts from the shared abstract-interpretation
-        # engine (repro.analysis.absint), memoized per module on the
-        # netlist digest.  Bounds let >64-bit values whose range provably
-        # fits uint64 stay off the object lanes.
+        # engine (repro.analysis.absint), memoized per module while the
+        # body's mutation epoch holds.  Bounds let >64-bit values whose
+        # range provably fits uint64 stay off the object lanes.
         self.facts = facts
         self._aux: Dict[Tuple[str, str], str] = {}
         self._serial = 0
@@ -544,7 +526,6 @@ def _codegen_batch(module: HWModule,
 
     from repro.sim import batch as _bh
 
-    CODEGEN_COUNTS["batched"] += 1
     facts = analyze_module(module)
     emitter = _BatchEmitter(module, np, {
         "np": np,
@@ -732,7 +713,10 @@ def _batch_expression(op: Operation, e: _BatchEmitter) -> None:
         else:
             beta = wmask
         no_wrap = kind != "comb.sub" and beta <= wmask
-        lane = ("u" if rk != "o" or (no_wrap and beta < _NATIVE_LIMIT)
+        # The operands must fit too: a product bound of 0 (one operand
+        # provably zero) says nothing about the other operand's range.
+        lane = ("u" if rk != "o"
+                or (no_wrap and max(beta, ba, bb) < _NATIVE_LIMIT)
                 else "o")
         wide_u = lane == "u" and rk == "o"
         # Lazy masking: + - * respect congruence mod 2^w (u lanes wrap

@@ -9,6 +9,7 @@ import asyncio
 import pytest
 
 from repro.isaxes import ALL_ISAXES
+from repro.server import http as http_module
 from repro.service.cache import ShardedArtifactCache
 from repro.service.jobs import digest
 from repro.server import (
@@ -191,6 +192,59 @@ class TestErrorPaths:
                 assert excinfo.value.status == 400
                 assert "must be" in str(excinfo.value)
             assert core.counters.submitted == 0
+
+        run_http(body, workers=1)
+
+    def test_malformed_content_length_is_400(self, tmp_path):
+        async def body(client, core):
+            for declared in ("abc", "1e3", "-5", "+5", "1_0"):
+                reader, writer = await asyncio.open_connection(
+                    client.host, client.port)
+                writer.write(
+                    b"POST /v1/compile HTTP/1.1\r\n"
+                    b"Content-Length: " + declared.encode() + b"\r\n\r\n")
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), 10)
+                writer.close()
+                assert response.startswith(b"HTTP/1.1 400 "), declared
+                assert b"content-length" in response
+            assert core.counters.submitted == 0
+
+        run_http(body, workers=1)
+
+    def test_oversized_header_line_is_400(self, tmp_path):
+        async def body(client, core):
+            reader, writer = await asyncio.open_connection(
+                client.host, client.port)
+            writer.write(b"GET /v1/healthz HTTP/1.1\r\nX-Pad: "
+                         + b"a" * 70000 + b"\r\n\r\n")
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            assert response.startswith(b"HTTP/1.1 400 ")
+            assert (await client.healthz())["status"] == "ok"
+
+        run_http(body, workers=1)
+
+    def test_slow_client_gets_408_and_is_closed(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(http_module, "_REQUEST_TIMEOUT_S", 0.3)
+
+        async def body(client, core):
+            partial = (b"", b"POST /v1/compile HTTP/1.1\r\n",
+                       b"POST /v1/compile HTTP/1.1\r\n"
+                       b"Content-Length: 10\r\n\r\n{")
+            for sent in partial:
+                reader, writer = await asyncio.open_connection(
+                    client.host, client.port)
+                writer.write(sent)
+                await writer.drain()
+                # read() returns only once the server closes the socket.
+                response = await asyncio.wait_for(reader.read(), 10)
+                writer.close()
+                assert response.startswith(b"HTTP/1.1 408 "), sent
+            # The server still answers well-behaved clients.
+            assert (await client.healthz())["status"] == "ok"
 
         run_http(body, workers=1)
 

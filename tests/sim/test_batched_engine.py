@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro import compile_isax
 from repro.dialects.comb import BINARY_OPS, ICMP_PREDICATES
 from repro.dialects.hw import HWModule
+from repro.fuzz.generator import generate_program
 from repro.ir.core import Operation
 from repro.isaxes import ALL_ISAXES
 from repro.sim import BatchedSimulator, RTLSimulator, crosscheck_engines
@@ -339,3 +340,26 @@ def test_random_netlists_three_engine_parity(module, seed):
     mismatch = crosscheck_engines(module, cycles=6, seed=seed,
                                   engines=THREE_ENGINES)
     assert mismatch is None, mismatch
+
+
+# ---------------------------------------------------------------------------
+# Regressions: generated programs that used to crash the batched engine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed,core", [
+    # comb.mul with one provably-zero operand put the other, wide
+    # (>= 2^64) operand on a uint64 lane: OverflowError in lower_uint64.
+    (497826249, "ORCA"),
+    (923266735, "Piccolo"),
+    (727863876, "Piccolo"),
+    (532517618, "PicoRV32"),
+    # Constant-derived dataflow reached bool_to_uint64 as a Python bool.
+    (154771779, "VexRiscv"),
+])
+def test_generated_program_three_engine_parity(seed, core):
+    artifact = compile_isax(generate_program(seed).source, core,
+                            engine="fastpath", schedule_cache=False)
+    for name, functionality in artifact.functionalities.items():
+        mismatch = crosscheck_engines(functionality.module,
+                                      engines=THREE_ENGINES)
+        assert mismatch is None, (name, mismatch)
