@@ -16,7 +16,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-from typing import Dict, List, Optional, Tuple
+import threading
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse_description
@@ -162,6 +163,10 @@ class ElabInstruction:
     has_spawn: bool = False
     origin: str = ""
     loc: Optional[SourceLocation] = None
+    #: Golden-model closures of ``behavior``, translated on first execution
+    #: (:mod:`repro.sim.coredsl_interp`).
+    program: Optional[Callable] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
 
 @dataclasses.dataclass
@@ -170,6 +175,9 @@ class ElabAlways:
     body: ast.BlockStmt
     origin: str = ""
     loc: Optional[SourceLocation] = None
+    #: Golden-model closures of ``body``, translated on first execution.
+    program: Optional[Callable] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
 
 class ElaboratedISA:
@@ -455,9 +463,12 @@ class _Elaborator:
 #: its inputs (unless ``import_dirs`` brings the filesystem in) and the
 #: resulting :class:`ElaboratedISA` is only ever read downstream, so a DSE
 #: sweep re-compiling the same ISAX per (core, cycle-time) candidate can
-#: share one decorated AST.  Bounded; cleared oldest-first.
+#: share one decorated AST.  Bounded; cleared oldest-first.  The lookup
+#: and the evict/insert each hold ``_ELABORATION_LOCK`` (elaboration itself
+#: runs outside it), so server threads cannot evict the same key twice.
 _ELABORATION_CACHE: Dict[Tuple[str, ...], "ElaboratedISA"] = {}
 _ELABORATION_CACHE_MAX = 256
+_ELABORATION_LOCK = threading.Lock()
 
 
 def _elaborate_uncached(
@@ -502,11 +513,18 @@ def elaborate(
         digest.update(name.encode("utf-8"))
         digest.update((extra_sources or {})[name].encode("utf-8"))
     key = (digest.hexdigest(), top or "", filename)
-    cached = _ELABORATION_CACHE.get(key)
+    with _ELABORATION_LOCK:
+        cached = _ELABORATION_CACHE.get(key)
     if cached is not None:
         return cached
     result = _elaborate_uncached(source, top, extra_sources, None, filename)
-    while len(_ELABORATION_CACHE) >= _ELABORATION_CACHE_MAX:
-        _ELABORATION_CACHE.pop(next(iter(_ELABORATION_CACHE)))
-    _ELABORATION_CACHE[key] = result
+    with _ELABORATION_LOCK:
+        # A racing thread may have stored the same key meanwhile; keep its
+        # result so every caller shares one ISA (and its golden programs).
+        cached = _ELABORATION_CACHE.get(key)
+        if cached is not None:
+            return cached
+        while len(_ELABORATION_CACHE) >= _ELABORATION_CACHE_MAX:
+            _ELABORATION_CACHE.pop(next(iter(_ELABORATION_CACHE)))
+        _ELABORATION_CACHE[key] = result
     return result

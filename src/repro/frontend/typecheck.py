@@ -13,7 +13,7 @@ Implements the bitwidth-aware rules of paper Section 2.3 on the AST:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend import types as ty
@@ -215,6 +215,9 @@ class FunctionSig:
         self.params = params
         self.return_type = return_type
         self.definition = definition
+        #: Golden-model closures of the body, translated on first call
+        #: (:mod:`repro.sim.coredsl_interp`).
+        self.program: Optional[Callable] = None
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ package provides the equivalents:
   (:mod:`repro.sim.compile`), and a numpy lane-parallel batched engine
   (:mod:`repro.sim.batch`, ``engine="interp"|"compiled"|"batched"|"auto"``;
   see ``docs/simulation.md``),
-* :mod:`repro.sim.coredsl_interp` — a golden-model interpreter executing
-  CoreDSL behaviors directly on an architectural state,
+* :mod:`repro.sim.coredsl_interp` — the golden model: each CoreDSL
+  behavior is translated once, from its AST, into nested Python closures
+  (stored on the elaborated instruction, always-block or function; valid
+  because elaborated ASTs are never mutated) that then run directly on an
+  architectural state,
 * :mod:`repro.sim.riscv` — an RV32I assembler, a functional ISS, and
   cycle-approximate timing models of the four host cores with SCAIE-V-style
   ISAX integration (in-pipeline / tightly-coupled / decoupled / always).

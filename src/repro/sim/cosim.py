@@ -76,11 +76,15 @@ def _find_output(outputs: Dict[str, int], prefix: str) -> Optional[int]:
     return None
 
 
+def _depth(functionality: FunctionalityArtifact) -> int:
+    """Cycles until a functionality's outputs are steady."""
+    return functionality.schedule.makespan + 2
+
+
 def _steady_outputs(functionality: FunctionalityArtifact,
-                    inputs: Dict[str, int],
-                    sim_engine: str = "auto") -> Dict[str, int]:
+                    inputs: Dict[str, int], sim_engine: str,
+                    depth: int) -> Dict[str, int]:
     sim = RTLSimulator(functionality.module, engine=sim_engine)
-    depth = functionality.schedule.makespan + 2
     outputs: Dict[str, int] = {}
     for _ in range(depth):
         outputs = sim.step(inputs)
@@ -161,6 +165,13 @@ def cosim_instruction(artifact: IsaxArtifact, name: str, state: ArchState,
                       field_values: Dict[str, int],
                       sim_engine: str = "auto") -> CosimResult:
     """Co-simulate one instruction against a *copy* of ``state``."""
+    return _cosim_instruction(artifact, name, state, field_values,
+                              sim_engine, _depth(artifact.artifact(name)))
+
+
+def _cosim_instruction(artifact: IsaxArtifact, name: str, state: ArchState,
+                       field_values: Dict[str, int], sim_engine: str,
+                       depth: int) -> CosimResult:
     functionality = artifact.artifact(name)
     isa = artifact.isa
     encoding = isa.instructions[name].encoding
@@ -175,7 +186,7 @@ def cosim_instruction(artifact: IsaxArtifact, name: str, state: ArchState,
     module = functionality.module
     inputs = _instruction_inputs(module, state, field_values, word)
 
-    outputs = _steady_outputs(functionality, inputs, sim_engine)
+    outputs = _steady_outputs(functionality, inputs, sim_engine, depth)
     for _round in range(3):
         changed = False
         read_addr = _find_output(outputs, "mem_raddr")
@@ -204,7 +215,7 @@ def cosim_instruction(artifact: IsaxArtifact, name: str, state: ArchState,
                                 changed = True
         if not changed:
             break
-        outputs = _steady_outputs(functionality, inputs, sim_engine)
+        outputs = _steady_outputs(functionality, inputs, sim_engine, depth)
 
     return _compare(functionality, effects, outputs, state, golden_state,
                     inputs)
@@ -292,7 +303,7 @@ def _compare(functionality: FunctionalityArtifact, effects: List[Effect],
 
 
 def _cosim_instruction_batch(artifact: IsaxArtifact, name: str,
-                             specs) -> List[CosimResult]:
+                             specs, depth: int) -> List[CosimResult]:
     """Run every (state, fields) trial of one instruction as one lane of
     a single batched steady-state evaluation.  Only valid for datapaths
     without read feedback (see :func:`_needs_feedback`)."""
@@ -311,7 +322,6 @@ def _cosim_instruction_batch(artifact: IsaxArtifact, name: str,
             golden_state, name, word)
         goldens.append((effects, golden_state))
         vectors.append(_instruction_inputs(module, state, fields, word))
-    depth = functionality.schedule.makespan + 2
     outs = BatchedSimulator(module).run_const(vectors, depth)
     return [
         _compare(functionality, effects, outputs, state, golden_state,
@@ -383,13 +393,12 @@ class VerificationReport:
 def _dump_failure_vcd(functionality: FunctionalityArtifact,
                       result: CosimResult, vcd_dir: str, artifact_name: str,
                       core_name: str, seed: int, trial: int,
-                      sim_engine: str = "auto") -> str:
+                      sim_engine: str, depth: int) -> str:
     """Trace the failing stimulus through the module and save a VCD next to
     the report, so the waveform is not discarded with the trial."""
     from repro.sim.vcd import VCDTracer  # deferred: keeps cosim import-light
 
     tracer = VCDTracer(functionality.module, engine=sim_engine)
-    depth = functionality.schedule.makespan + 2
     for _ in range(depth):
         tracer.step(result.rtl_inputs)
     os.makedirs(vcd_dir, exist_ok=True)
@@ -400,6 +409,39 @@ def _dump_failure_vcd(functionality: FunctionalityArtifact,
     )
     tracer.save(path)
     return path
+
+
+def _draw_stimulus(isa, encoding, rng: random.Random):
+    """One trial's ``(state, fields)``; ``fields`` is None for an
+    always-block (no ``encoding``).
+
+    The draw order is part of the seed contract: registers 1..31, the pc,
+    custom registers (masked to their width), 64 memory bytes (address,
+    then value), then the encoding fields.  Every drawn value is already in
+    range, so it is stored without the checked ``write_*`` API.
+    """
+    getrandbits = rng.getrandbits
+    state = ArchState(isa)
+    xregs = state.xregs
+    for index in range(1, 32):
+        xregs[index] = getrandbits(32)
+    state.pc = getrandbits(32) & ~3
+    for reg, values in state.custom.items():
+        mask = (1 << state.custom_widths[reg]) - 1
+        for element in range(len(values)):
+            values[element] = getrandbits(32) & mask
+    memory = state.memory
+    for _ in range(64):
+        address = getrandbits(32)
+        memory[address] = getrandbits(8)
+    if encoding is None:
+        return state, None
+    fields = {fname: getrandbits(field.width)
+              for fname, field in encoding.fields.items()}
+    for reg_field in ("rs1", "rs2", "rd"):
+        if reg_field in fields:
+            fields[reg_field] = rng.randrange(32)
+    return state, fields
 
 
 def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
@@ -431,33 +473,16 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
         is_instr = functionality.kind == "instruction"
         encoding = (artifact.isa.instructions[name].encoding
                     if is_instr else None)
+        depth = _depth(functionality)
         # Draw every trial's stimulus upfront, in the exact per-trial
         # order of the scalar path, so the RNG stream (and therefore the
         # trial set for a given seed) is engine-independent.
-        specs = []
-        for _ in range(trials):
-            state = ArchState(artifact.isa)
-            for index in range(1, 32):
-                state.write_x(index, rng.getrandbits(32))
-            state.pc = rng.getrandbits(32) & ~3
-            for reg in state.custom:
-                for element in range(len(state.custom[reg])):
-                    state.write_custom(reg, rng.getrandbits(32), element)
-            for _ in range(64):
-                state.write_mem_byte(rng.getrandbits(32), rng.getrandbits(8))
-            fields = None
-            if is_instr:
-                fields = {
-                    fname: rng.getrandbits(field.width)
-                    for fname, field in encoding.fields.items()
-                }
-                for reg_field in ("rs1", "rs2", "rd"):
-                    if reg_field in fields:
-                        fields[reg_field] = rng.randrange(32)
-            specs.append((state, fields))
+        specs = [_draw_stimulus(artifact.isa, encoding, rng)
+                 for _ in range(trials)]
         if batch and not _needs_feedback(functionality.module):
             if is_instr:
-                results = _cosim_instruction_batch(artifact, name, specs)
+                results = _cosim_instruction_batch(artifact, name, specs,
+                                                   depth)
             else:
                 results = _cosim_always_batch(
                     artifact, name, [state for state, _ in specs])
@@ -468,9 +493,8 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
             results = []
             for state, fields in specs:
                 if is_instr:
-                    results.append(cosim_instruction(
-                        artifact, name, state, fields,
-                        sim_engine=sim_engine))
+                    results.append(_cosim_instruction(
+                        artifact, name, state, fields, sim_engine, depth))
                 else:
                     results.append(cosim_always(
                         artifact, name, state, sim_engine=sim_engine))
@@ -481,8 +505,7 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
                 if vcd_dir is not None:
                     vcd_paths.append(_dump_failure_vcd(
                         functionality, result, vcd_dir, artifact.name,
-                        artifact.core_name, seed, total,
-                        sim_engine=sim_engine,
+                        artifact.core_name, seed, total, sim_engine, depth,
                     ))
     return VerificationReport(
         artifact=artifact.name,

@@ -19,7 +19,9 @@ def mask(width: int) -> int:
 
 def truncate(value: int, width: int) -> int:
     """Truncate ``value`` to ``width`` bits (unsigned result)."""
-    return value & mask(width)
+    if width < 0:
+        raise ValueError(f"width must be non-negative, got {width}")
+    return value & ((1 << width) - 1)
 
 
 def to_signed(value: int, width: int) -> int:
@@ -27,7 +29,7 @@ def to_signed(value: int, width: int) -> int:
     signed number and return the Python int."""
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    value = truncate(value, width)
+    value &= (1 << width) - 1
     if value >= 1 << (width - 1):
         value -= 1 << width
     return value
@@ -36,7 +38,9 @@ def to_signed(value: int, width: int) -> int:
 def to_unsigned(value: int, width: int) -> int:
     """Return the unsigned (bit-pattern) representation of ``value`` in
     ``width`` bits.  Accepts negative Python ints."""
-    return truncate(value, width)
+    if width < 0:
+        raise ValueError(f"width must be non-negative, got {width}")
+    return value & ((1 << width) - 1)
 
 
 def sign_extend(value: int, from_width: int, to_width: int) -> int:

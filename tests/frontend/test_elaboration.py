@@ -320,3 +320,42 @@ class TestSpawnDetection:
         """
         isa = elaborate(text)
         assert isa.instructions["sqrt"].has_spawn
+
+
+class TestElaborationMemo:
+    def test_concurrent_eviction_keeps_every_call_valid(self, monkeypatch):
+        """Threads that elaborate distinct sources through a tiny memo
+        evict concurrently; each call must still return its own ISA."""
+        import sys
+        import threading
+
+        from repro.frontend import elaboration
+
+        monkeypatch.setattr(elaboration, "_ELABORATION_CACHE_MAX", 2)
+        errors = []
+
+        def worker(thread):
+            try:
+                for i in range(300):
+                    name = f"S{thread}_{i}"
+                    isa = elaborate(
+                        f"InstructionSet {name} {{ architectural_state "
+                        f"{{ register unsigned<8> R; }} }}")
+                    assert isa.name == name
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert len(elaboration._ELABORATION_CACHE) <= 2

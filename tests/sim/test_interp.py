@@ -1,12 +1,18 @@
 """Tests for the CoreDSL golden interpreter and architectural state."""
 
+import dataclasses
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import elaborate
+from repro.fuzz import generate_program
 from repro.isaxes import ALL_ISAXES, ZOL
-from repro.sim import ArchState, CoreDSLInterpreter
+from repro.sim import ArchState, CoreDSLInterpreter, coredsl_interp
+from repro.utils.diagnostics import CoreDSLError
 
 
 def make(source, top=None):
@@ -150,3 +156,256 @@ class TestSharedState:
         state = ArchState(isa_a)
         state.add_custom_state(isa_z)
         assert set(state.custom) == {"ADDR", "START_PC", "END_PC", "COUNT"}
+
+
+# ---------------------------------------------------------------------------
+# Parity fixture
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of the golden model's effect lists, post-state snapshots and
+#: raised errors over ``_parity_sources()`` (see ``_parity_records``).
+#: Recorded with the AST tree-walking interpreter that preceded the
+#: closure-compiled one; any semantic drift of the golden model changes it.
+PARITY_SHA256 = (
+    "c5ef3ddf310aeb8fdb483ab6e3dd1b1da672d04a45c8a885640f7bf2f9a7ebfd")
+
+PARITY_SEEDS = range(50)
+PARITY_STATES = 8
+
+
+def _parity_sources():
+    sources = [ALL_ISAXES[name] for name in sorted(ALL_ISAXES)]
+    sources += [generate_program(seed).source for seed in PARITY_SEEDS]
+    return sources
+
+
+def _random_state(isa, rng):
+    """An architectural state drawn through the public write API, with
+    memory populated around a few register values so loads hit data."""
+    state = ArchState(isa)
+    for index in range(1, 32):
+        state.write_x(index, rng.getrandbits(32))
+    state.pc = rng.getrandbits(32) & ~3
+    for reg in sorted(state.custom):
+        for element in range(len(state.custom[reg])):
+            state.write_custom(reg, rng.getrandbits(64), element)
+    for _ in range(16):
+        state.write_mem_byte(rng.getrandbits(32), rng.getrandbits(8))
+    for _ in range(8):
+        base = state.read_x(rng.randrange(32))
+        for offset in range(8):
+            state.write_mem_byte(base + offset, rng.getrandbits(8))
+    return state
+
+
+def _parity_records(sources, states=PARITY_STATES):
+    """Yield one canonical record per golden-model execution: ``states``
+    random states for every instruction and always-block of each source."""
+    for source_index, source in enumerate(sources):
+        isa = elaborate(source)
+        rng = random.Random(source_index)
+        behaviors = ([("instruction", n) for n in isa.instructions]
+                     + [("always", n) for n in isa.always_blocks])
+        for kind, name in behaviors:
+            for _ in range(states):
+                state = _random_state(isa, rng)
+                interp = CoreDSLInterpreter(isa)
+                try:
+                    if kind == "instruction":
+                        encoding = isa.instructions[name].encoding
+                        fields = {fname: rng.getrandbits(field.width)
+                                  for fname, field in encoding.fields.items()}
+                        effects = interp.execute_instruction(
+                            state, name, encoding.encode(fields))
+                    else:
+                        effects = interp.execute_always(state, name)
+                    outcome = [dataclasses.astuple(e) for e in effects]
+                except Exception as exc:  # recorded, not raised
+                    outcome = (type(exc).__name__, str(exc))
+                snap = state.snapshot()
+                snap["memory"] = sorted(snap["memory"].items())
+                snap["custom"] = sorted(snap["custom"].items())
+                yield (source_index, kind, name, outcome,
+                       sorted(snap.items()))
+
+
+def parity_digest(sources=None) -> str:
+    digest = hashlib.sha256()
+    for record in _parity_records(_parity_sources() if sources is None
+                                  else sources):
+        digest.update(repr(record).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_parity_fixture():
+    assert parity_digest() == PARITY_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Golden-model corner cases
+# ---------------------------------------------------------------------------
+
+def _isa(state="", body="", functions=""):
+    """Elaborate a one-instruction ISAX ``t`` (fields rs1, rd)."""
+    parts = ['import "RV32I.core_desc"', "InstructionSet T extends RV32I {"]
+    if state:
+        parts.append(f"  architectural_state {{ {state} }}")
+    if functions:
+        parts.append(f"  functions {{ {functions} }}")
+    parts.append(
+        "  instructions { t { encoding: 12'd0 :: rs1[4:0] :: 3'b000 :: "
+        f"rd[4:0] :: 7'b0001011; behavior: {{ {body} }} }} }}")
+    parts.append("}")
+    return elaborate("\n".join(parts))
+
+
+def _run(isa, state=None, rs1=1, rd=2):
+    state = state or ArchState(isa)
+    word = isa.instructions["t"].encoding.encode({"rs1": rs1, "rd": rd})
+    effects = CoreDSLInterpreter(isa).execute_instruction(state, "t", word)
+    return state, effects
+
+
+class TestGoldenCorners:
+    def test_local_shadows_state_and_field(self):
+        isa = _isa("register unsigned<8> R;",
+                   "unsigned<8> R = 3; R += 254; unsigned<5> rs1 = 7; "
+                   "X[rd] = R + rs1;")
+        state, effects = _run(isa, rs1=9, rd=2)
+        assert state.read_x(2) == 1 + 7
+        assert state.read_custom("R") == 0
+        assert [(e.kind, e.index) for e in effects] == [("gpr", 2)]
+
+    def test_compound_assignment_wraps_local_to_declared_type(self):
+        isa = _isa(body="signed<4> s = 7; s += 1; unsigned<3> u = 6; "
+                        "u += 3; X[rd] = (unsigned<32>)(s) ^ u;")
+        state, _ = _run(isa)
+        assert state.read_x(2) == 0xFFFFFFF8 ^ 1
+
+    def test_function_called_inside_spawn_records_spawned_effects(self):
+        isa = _isa("register unsigned<8> R;",
+                   "spawn { w(X[rs1][7:0]); } X[rd] = 1;",
+                   "void w(unsigned<8> v) { R = v; X[5] = v; }")
+        state = ArchState(isa)
+        state.write_x(1, 0x1AB)
+        state, effects = _run(isa, state)
+        assert [(e.kind, e.name, e.value, e.spawned) for e in effects] == [
+            ("custom", "R", 0xAB, True), ("gpr", "X", 0xAB, True),
+            ("gpr", "X", 1, False)]
+
+    def test_early_return_from_nested_loop(self):
+        isa = _isa(body="X[rd] = g((unsigned<8>) X[rs1]);", functions="""
+            unsigned<8> g(unsigned<8> a) {
+              for (unsigned<4> i = 0; i < 8; i += 1) {
+                for (unsigned<4> j = 0; j < 8; j += 1) {
+                  if (a[i] && a[j] && i != j) return (unsigned<8>)(i :: j);
+                }
+              }
+              return 255;
+            }""")
+        for value, expected in ((0b10100, 0x24), (0b1, 255)):
+            state = ArchState(isa)
+            state.write_x(1, value)
+            assert _run(isa, state)[0].read_x(2) == expected
+
+    def test_switch_default_and_do_while_once(self):
+        isa = _isa(body="""
+            switch (X[rs1][1:0]) {
+              case 0: X[rd] = 10; break;
+              default: X[rd] = 99; break;
+              case 2: X[rd] = 20; break;
+            }
+            unsigned<8> n = 0;
+            do { n += 1; } while (n < 1);
+            X[3] = n;""")
+        for value, expected in ((0, 10), (2, 20), (3, 99)):
+            state = ArchState(isa)
+            state.write_x(1, value)
+            state, _ = _run(isa, state)
+            assert state.read_x(2) == expected
+            assert state.read_x(3) == 1
+
+    def test_range_reads_on_mem_array_and_scalar(self):
+        isa = _isa("register unsigned<8> Q[4] = {1, 2, 3, 4}; "
+                   "register unsigned<16> S = 0xABCD;",
+                   "unsigned<32> a = X[rs1]; X[rd] = MEM[a+3:a]; "
+                   "X[3] = Q[2:1]; X[4] = S[11:4];")
+        state = ArchState(isa)
+        state.write_x(1, 0x100)
+        state.write_mem(0x100, 0xDEADBEEF, 4)
+        state, _ = _run(isa, state)
+        assert state.read_x(2) == 0xDEADBEEF
+        assert state.read_x(3) == 0x0302
+        assert state.read_x(4) == 0xBC
+
+    def test_unbraced_declaration_binds_only_when_it_runs(self):
+        """``if (c) T x = ...;`` declares ``x`` in the enclosing scope only
+        on the path that runs, so later reads fall back to the register."""
+        isa = _isa("register unsigned<8> x;",
+                   "if (X[rs1][0]) unsigned<8> x = 5; X[rd] = x; x = 7;")
+        for value, result, register in ((1, 5, 0), (0, 0, 7)):
+            state = ArchState(isa)
+            state.write_x(1, value)
+            state, _ = _run(isa, state)
+            assert (state.read_x(2), state.read_custom("x")) == (
+                result, register)
+
+    def test_unbound_identifier_raises_only_when_read(self):
+        isa = _isa(body="if (X[rs1][0]) unsigned<8> y = 5; "
+                        "if (X[rs1][0]) X[rd] = y;")
+        assert _run(isa)[0].read_x(2) == 0      # X[1] == 0: dead read
+        state = ArchState(isa)
+        state.write_x(1, 1)
+        assert _run(isa, state)[0].read_x(2) == 5
+        isa = _isa(body="if (X[rs1][0]) unsigned<8> y = 5; X[rd] = y;")
+        with pytest.raises(CoreDSLError,
+                           match=r"^cannot interpret identifier 'y'$"):
+            _run(isa)
+
+    def test_runaway_loop(self, monkeypatch):
+        monkeypatch.setattr(coredsl_interp, "_MAX_LOOP_ITERATIONS", 1000)
+        isa = _isa(body="unsigned<8> n = 0; while (n == 0) { X[rd] = 1; }")
+        with pytest.raises(CoreDSLError,
+                           match=r"^runaway loop in interpreter$"):
+            _run(isa)
+
+    def test_division_and_modulo_by_zero(self):
+        for op, message in (("/", "division by zero"),
+                            ("%", "modulo by zero")):
+            isa = _isa(body=f"X[rd] = X[rs1] {op} X[0];")
+            with pytest.raises(CoreDSLError, match=f"^{message}$"):
+                _run(isa)
+
+    def test_void_function_used_as_value(self):
+        isa = _isa(body="X[rd] = h((unsigned<8>) X[rs1]);",
+                   functions="unsigned<8> h(unsigned<8> a) "
+                             "{ if (a[0]) return 1; }")
+        state = ArchState(isa)
+        state.write_x(1, 1)
+        assert _run(isa, state)[0].read_x(2) == 1
+        with pytest.raises(CoreDSLError,
+                           match=r"^void function 'h' used as value$"):
+            _run(isa)
+
+    def test_behaviors_translate_once(self, monkeypatch):
+        """A second execution on the same ISA translates nothing: the
+        programs stored on the elaborated objects are reused."""
+        isa = elaborate(ALL_ISAXES["sparkle"])
+        interp = CoreDSLInterpreter(isa)
+        encoding = isa.instructions["alzette_x"].encoding
+        word = encoding.encode({"rs1": 1, "rs2": 2, "rd": 3})
+        first = interp.execute_instruction(ArchState(isa), "alzette_x", word)
+        instr = isa.instructions["alzette_x"]
+        programs = (instr.program, isa.functions["rotr"].program,
+                    isa.functions["alzette_half"].program)
+        assert None not in programs
+
+        def no_translation(*args, **kwargs):
+            raise AssertionError("behavior translated twice")
+        monkeypatch.setattr(coredsl_interp, "_Translator", no_translation)
+        second = CoreDSLInterpreter(isa).execute_instruction(
+            ArchState(isa), "alzette_x", word)
+        assert second == first
+        assert (instr.program, isa.functions["rotr"].program,
+                isa.functions["alzette_half"].program) == programs

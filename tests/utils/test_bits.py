@@ -24,6 +24,15 @@ class TestMaskTruncate:
         assert bits.truncate(0x1FF, 8) == 0xFF
         assert bits.truncate(-1, 4) == 0xF
 
+    @pytest.mark.parametrize("helper", [bits.truncate, bits.to_unsigned])
+    def test_negative_width_raises(self, helper):
+        with pytest.raises(ValueError, match="width must be non-negative"):
+            helper(5, -1)
+
+    def test_to_signed_negative_width_raises(self):
+        with pytest.raises(ValueError, match="width must be positive"):
+            bits.to_signed(5, -3)
+
 
 class TestSignedness:
     def test_to_signed_positive(self):
