@@ -57,7 +57,12 @@ register_op(OpDef("seq.compreg", has_side_effects=True, verifier=_verify_compreg
 class Port:
     """A module port.  ``direction`` is "in" or "out"; ``stage`` records the
     pipeline stage the port is active in (the numerical suffixes of paper
-    Figure 5d), and ``role`` ties it back to the scheduled interface op.
+    Figure 5d).  The generator also records what the port *is*, so no
+    consumer has to parse its name: ``role`` is the SCAIE-V sub-interface
+    (``RdRS1``, ``WrRD``, ``RdMem``, ``Rd<REG>``, ``Wr<REG>.data`` ...),
+    ``signal`` which of its signals the port carries (``data``, ``valid``
+    or ``addr``), and ``register`` the custom register it reads or writes
+    (None for a standard interface).
 
     Frozen: ports change only through :meth:`HWModule.add_input` and
     :meth:`HWModule.add_output`, which also append a body op (and so move
@@ -68,6 +73,8 @@ class Port:
     width: int
     stage: Optional[int] = None
     role: Optional[str] = None
+    signal: Optional[str] = None
+    register: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.direction not in ("in", "out"):
@@ -84,19 +91,23 @@ class HWModule:
         self.attributes: Dict[str, object] = {}
 
     def add_input(self, name: str, width: int, stage: Optional[int] = None,
-                  role: Optional[str] = None):
+                  role: Optional[str] = None, signal: Optional[str] = None,
+                  register: Optional[str] = None):
         """Declare an input port and return the SSA value reading it."""
         self._check_unique(name)
-        self.ports.append(Port(name, "in", width, stage, role))
+        self.ports.append(Port(name, "in", width, stage, role, signal,
+                               register))
         op = Operation("hw.input", [], [(width, None)], {"name": name})
         self.body.append(op)
         return op.result
 
     def add_output(self, name: str, value, stage: Optional[int] = None,
-                   role: Optional[str] = None) -> None:
+                   role: Optional[str] = None, signal: Optional[str] = None,
+                   register: Optional[str] = None) -> None:
         """Declare an output port driven by ``value``."""
         self._check_unique(name)
-        self.ports.append(Port(name, "out", value.width, stage, role))
+        self.ports.append(Port(name, "out", value.width, stage, role, signal,
+                               register))
         op = Operation("hw.output", [value], [], {"name": name})
         self.body.append(op)
 

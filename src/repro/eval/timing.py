@@ -122,16 +122,17 @@ def forwarding_path_cycle(datasheet: VirtualDatasheet,
             )
             if not entry_late:
                 continue
-            arrivals = output_arrival_times(functionality.module, tech)
+            module = functionality.module
+            arrivals = output_arrival_times(module, tech)
             data_arrival = max(
-                (t for port, t in arrivals.items()
-                 if port.startswith("wrrd_data")),
+                (arrivals[port.name] for port in module.outputs
+                 if port.role == "WrRD" and port.signal == "data"),
                 default=0.0,
             )
             # Result mux into the forwarding net plus the wire load of the
             # ISAX block hanging off it (scales with its footprint), plus
             # any combinational tail the result arrives through.
-            area = module_area(functionality.module, tech)
+            area = module_area(module, tech)
             penalty = (0.04 + 0.006 * math.sqrt(max(0.0, area))
                        + 0.35 * data_arrival)
             required = max(

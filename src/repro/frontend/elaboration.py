@@ -29,6 +29,7 @@ from repro.frontend.typecheck import (
     const_eval,
 )
 from repro.frontend.types import IntType, unsigned
+from repro.scaiev.interfaces import standard_interfaces
 from repro.utils.bits import extract_bits, mask, to_unsigned
 from repro.utils.diagnostics import CoreDSLError, SourceLocation
 
@@ -234,6 +235,26 @@ class ElaboratedISA:
 # Elaborator
 # ---------------------------------------------------------------------------
 
+#: Custom-register names whose ports ``wr<NAME>_*`` are the standard PC
+#: and GPR write ports.
+_PORT_ALIASES = {"pc": "PC write ports (wrpc_*)",
+                 "rd": "GPR write ports (wrrd_*)"}
+
+
+def _interface_alias(name: str) -> Optional[str]:
+    """What the hardware of a custom register ``name`` would alias: the
+    standard ports, or a standard SCAIE-V sub-interface named like its
+    ``Rd<NAME>``/``Wr<NAME>`` interfaces; None if nothing."""
+    if name in _PORT_ALIASES:
+        return _PORT_ALIASES[name]
+    standard = standard_interfaces()
+    for interface in (f"Rd{name}", f"Wr{name}", f"Wr{name}.addr",
+                      f"Wr{name}.data"):
+        if interface in standard:
+            return f"interface {interface}"
+    return None
+
+
 class _Elaborator:
     def __init__(self, extra_sources: Optional[Dict[str, str]] = None,
                  import_dirs: Optional[List[str]] = None):
@@ -422,11 +443,21 @@ class _Elaborator:
 
         if decl.name in isa.state:
             raise CoreDSLError(f"redefinition of state element '{decl.name}'", decl.loc)
-        isa.state[decl.name] = StateInfo(
+        info = StateInfo(
             decl.name, kind, element, size=size,
             attributes=list(decl.attributes), init_values=init_values,
             loc=decl.loc,
         )
+        alias = (_interface_alias(decl.name)
+                 if kind in ("scalar_reg", "array_reg")
+                 and not (info.is_main_reg or info.is_pc) else None)
+        if alias is not None:
+            raise CoreDSLError(
+                f"custom register '{decl.name}' would alias the SCAIE-V "
+                f"{alias}; rename it",
+                decl.loc,
+            )
+        isa.state[decl.name] = info
 
     def _signature(self, isa: ElaboratedISA, fn: ast.FunctionDef) -> FunctionSig:
         params: List[Tuple[str, IntType]] = []

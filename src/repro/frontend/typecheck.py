@@ -317,9 +317,9 @@ class TypeChecker:
             self.check_expr_or_void(stmt.expr)
         elif isinstance(stmt, ast.IfStmt):
             self.check_expr(stmt.cond)
-            self.check_stmt(stmt.then_body)
+            self.check_body(stmt.then_body, "if")
             if stmt.else_body is not None:
-                self.check_stmt(stmt.else_body)
+                self.check_body(stmt.else_body, "else")
         elif isinstance(stmt, ast.ForStmt):
             self.push_scope()
             if stmt.init is not None:
@@ -328,12 +328,12 @@ class TypeChecker:
                 self.check_expr(stmt.cond)
             if stmt.step is not None:
                 self.check_stmt(stmt.step)
-            self.check_stmt(stmt.body)
+            self.check_body(stmt.body, "for")
             self.pop_scope()
         elif isinstance(stmt, ast.WhileStmt):
             self.push_scope()
             self.check_expr(stmt.cond)
-            self.check_stmt(stmt.body)
+            self.check_body(stmt.body, "do" if stmt.is_do_while else "while")
             self.pop_scope()
         elif isinstance(stmt, ast.SwitchStmt):
             value_type = self.check_expr(stmt.value)
@@ -374,6 +374,18 @@ class TypeChecker:
             self.check_stmt(stmt.body)
         else:
             raise CoreDSLError(f"unsupported statement {type(stmt).__name__}", stmt.loc)
+
+    def check_body(self, body: ast.Stmt, keyword: str) -> None:
+        """The body of a conditional or loop.  As in C, it may not be a
+        bare declaration: its scope would be unclear (the declaration
+        runs on some paths only), so it must be braced."""
+        if isinstance(body, ast.VarDecl):
+            raise CoreDSLError(
+                f"declaration of '{body.name}' as the body of '{keyword}' "
+                "must be enclosed in braces",
+                body.loc,
+            )
+        self.check_stmt(body)
 
     def check_assign(self, stmt: ast.Assign) -> None:
         target_type = self.check_target(stmt.target)

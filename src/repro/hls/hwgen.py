@@ -169,87 +169,70 @@ class _ModuleBuilder:
         return self.module
 
     def convert_interface(self, op: Operation, stage: int) -> None:
+        """Turn one interface op into ports.  Each port records its
+        SCAIE-V sub-interface (``role``), which of its signals it carries
+        and, for custom registers, the register: consumers read these
+        instead of parsing the port names built here."""
         name = op.name
+        add_input, add_output = self.module.add_input, self.module.add_output
         if name == "lil.instr_word":
-            value = self.module.add_input(
-                f"instr_word_{stage}", 32, stage=stage, role="RdInstr"
-            )
+            value = add_input(f"instr_word_{stage}", 32, stage, "RdInstr",
+                              "data")
             self.record(op.result, value, stage)
         elif name in ("lil.read_rs1", "lil.read_rs2", "lil.read_pc"):
             port = {"lil.read_rs1": "rs1_data", "lil.read_rs2": "rs2_data",
                     "lil.read_pc": "pc_data"}[name]
-            role = lil.INTERFACE_OF[name]
-            value = self.module.add_input(
-                f"{port}_{stage}", 32, stage=stage, role=role
-            )
+            value = add_input(f"{port}_{stage}", 32, stage,
+                              lil.INTERFACE_OF[name], "data")
             self.record(op.result, value, stage)
         elif name == "lil.read_mem":
             addr = self.operand_at(op.operands[0], stage)
             pred = self.operand_at(op.operands[1], stage)
-            self.module.add_output(f"mem_raddr_{stage}", addr, stage=stage,
-                                   role="RdMem")
-            self.module.add_output(f"mem_rvalid_{stage}", pred, stage=stage,
-                                   role="RdMem")
+            add_output(f"mem_raddr_{stage}", addr, stage, "RdMem", "addr")
+            add_output(f"mem_rvalid_{stage}", pred, stage, "RdMem", "valid")
             latency = self.schedule.problem.linked_operator_type(op).latency
             avail = stage + latency
-            data = self.module.add_input(
-                f"mem_rdata_{avail}", op.result.width, stage=avail,
-                role="RdMem",
-            )
+            data = add_input(f"mem_rdata_{avail}", op.result.width, avail,
+                             "RdMem", "data")
             self.record(op.result, data, avail)
-        elif name == "lil.write_rd":
+        elif name in ("lil.write_rd", "lil.write_pc"):
             value = self.operand_at(op.operands[0], stage)
             pred = self.operand_at(op.operands[1], stage)
-            self.module.add_output(f"wrrd_data_{stage}", value, stage=stage,
-                                   role="WrRD")
-            self.module.add_output(f"wrrd_valid_{stage}", pred, stage=stage,
-                                   role="WrRD")
-        elif name == "lil.write_pc":
-            value = self.operand_at(op.operands[0], stage)
-            pred = self.operand_at(op.operands[1], stage)
-            self.module.add_output(f"wrpc_data_{stage}", value, stage=stage,
-                                   role="WrPC")
-            self.module.add_output(f"wrpc_valid_{stage}", pred, stage=stage,
-                                   role="WrPC")
+            port = "wrrd" if name == "lil.write_rd" else "wrpc"
+            role = lil.INTERFACE_OF[name]
+            add_output(f"{port}_data_{stage}", value, stage, role, "data")
+            add_output(f"{port}_valid_{stage}", pred, stage, role, "valid")
         elif name == "lil.write_mem":
             addr = self.operand_at(op.operands[0], stage)
             value = self.operand_at(op.operands[1], stage)
             pred = self.operand_at(op.operands[2], stage)
-            self.module.add_output(f"mem_waddr_{stage}", addr, stage=stage,
-                                   role="WrMem")
-            self.module.add_output(f"mem_wdata_{stage}", value, stage=stage,
-                                   role="WrMem")
-            self.module.add_output(f"mem_wvalid_{stage}", pred, stage=stage,
-                                   role="WrMem")
+            add_output(f"mem_waddr_{stage}", addr, stage, "WrMem", "addr")
+            add_output(f"mem_wdata_{stage}", value, stage, "WrMem", "data")
+            add_output(f"mem_wvalid_{stage}", pred, stage, "WrMem", "valid")
         elif name == "lil.read_custreg":
             reg = op.attr("reg")
-            operands = list(op.operands)
             if op.attr("has_index"):
-                index = self.operand_at(operands[0], stage)
-                self.module.add_output(f"rd{reg}_addr_{stage}", index,
-                                       stage=stage, role=f"Rd{reg}")
+                index = self.operand_at(op.operands[0], stage)
+                add_output(f"rd{reg}_addr_{stage}", index, stage, f"Rd{reg}",
+                           "addr", reg)
             latency = self.schedule.problem.linked_operator_type(op).latency
             avail = stage + latency
-            data = self.module.add_input(
-                f"rd{reg}_data_{avail}", op.result.width, stage=avail,
-                role=f"Rd{reg}",
-            )
+            data = add_input(f"rd{reg}_data_{avail}", op.result.width, avail,
+                             f"Rd{reg}", "data", reg)
             self.record(op.result, data, avail)
         elif name == "lil.write_custreg":
             reg = op.attr("reg")
             operands = list(op.operands)
-            cursor = 0
             if op.attr("has_index"):
-                index = self.operand_at(operands[0], stage)
-                self.module.add_output(f"wr{reg}_addr_{stage}", index,
-                                       stage=stage, role=f"Wr{reg}.addr")
-                cursor = 1
-            value = self.operand_at(operands[cursor], stage)
-            pred = self.operand_at(operands[cursor + 1], stage)
-            self.module.add_output(f"wr{reg}_data_{stage}", value,
-                                   stage=stage, role=f"Wr{reg}.data")
-            self.module.add_output(f"wr{reg}_valid_{stage}", pred,
-                                   stage=stage, role=f"Wr{reg}.data")
+                index = self.operand_at(operands.pop(0), stage)
+                add_output(f"wr{reg}_addr_{stage}", index, stage,
+                           f"Wr{reg}.addr", "addr", reg)
+            value = self.operand_at(operands[0], stage)
+            pred = self.operand_at(operands[1], stage)
+            add_output(f"wr{reg}_data_{stage}", value, stage, f"Wr{reg}.data",
+                       "data", reg)
+            add_output(f"wr{reg}_valid_{stage}", pred, stage, f"Wr{reg}.data",
+                       "valid", reg)
         else:  # pragma: no cover
             raise IRError(f"unhandled interface operation '{name}'")
 

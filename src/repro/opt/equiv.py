@@ -5,14 +5,14 @@ architecturally indistinguishable.  Port *names* are not comparable across
 levels (they carry schedule-stage suffixes and the schedules legitimately
 differ), so the trace normalizes RTL outputs to architectural roles — GPR
 writeback, PC redirect, memory write/read request, custom-register traffic
-— via the same prefix matching the cosim harness uses, and gates every
+— through the port records the cosim runner resolves, and gates every
 data/address field on its valid bit (a lane that is not written is a
 don't-care and is recorded as ``-``).
 
-Stimuli are drawn from a seed-keyed RNG that replicates
-``verify_artifact``'s randomization discipline, so both artifacts see the
-exact same architectural states and operand values; the resulting trace
-strings are required to be byte-identical.
+Stimuli are drawn from a seed-keyed RNG with ``verify_artifact``'s
+stimulus draw, so both artifacts see the exact same architectural states
+and operand values; the resulting trace strings are required to be
+byte-identical.
 
 This module imports the simulator and HLS layers — keep it out of
 ``repro.opt.__init__`` (``hls.longnail`` imports ``repro.opt.pipeline``).
@@ -24,59 +24,42 @@ import random
 from typing import Dict, List, Optional
 
 from repro.hls.longnail import IsaxArtifact
-from repro.sim.coredsl_interp import ArchState
-from repro.sim.cosim import (
-    CosimResult,
-    _find_output,
-    cosim_always,
-    cosim_instruction,
-)
+from repro.sim.cosim import _draw_stimulus, _encoding, _Ports, _run_trials
 
 
-def _gated(outputs: Dict[str, int], data_prefix: str,
-           valid_prefix: str) -> str:
-    valid = _find_output(outputs, valid_prefix)
-    data = _find_output(outputs, data_prefix)
-    if not valid or data is None:
-        return "-"
-    return f"{data:x}"
+def _trace_fields(ports: _Ports, outputs: Dict[str, int],
+                  regs: List[str]) -> List[str]:
+    def value(port: Optional[str]) -> Optional[int]:
+        return None if port is None else outputs[port]
 
+    def standard(role: str, signal: str) -> Optional[int]:
+        return value(ports.outputs.get((role, signal)))
 
-def _trace_fields(outputs: Dict[str, int], regs: List[str]) -> List[str]:
-    fields = []
-    fields.append("rd=" + _gated(outputs, "wrrd_data", "wrrd_valid"))
-    fields.append("pc=" + _gated(outputs, "wrpc_data", "wrpc_valid"))
-    if _find_output(outputs, "mem_wvalid"):
-        waddr = _find_output(outputs, "mem_waddr")
-        wdata = _find_output(outputs, "mem_wdata")
+    def gated(data: Optional[int], valid: Optional[int]) -> str:
+        return "-" if not valid or data is None else f"{data:x}"
+
+    fields = [
+        "rd=" + gated(standard("WrRD", "data"), standard("WrRD", "valid")),
+        "pc=" + gated(standard("WrPC", "data"), standard("WrPC", "valid")),
+    ]
+    if standard("WrMem", "valid"):
+        waddr = standard("WrMem", "addr")
+        wdata = standard("WrMem", "data")
         addr_text = "-" if waddr is None else f"{waddr:x}"
         data_text = "-" if wdata is None else f"{wdata:x}"
         fields.append(f"memw={addr_text}:{data_text}")
     else:
         fields.append("memw=-")
-    raddr = _find_output(outputs, "mem_raddr")
+    raddr = standard("RdMem", "addr")
     fields.append("memr=" + ("-" if raddr is None else f"{raddr:x}"))
     for reg in regs:
-        fields.append(f"{reg}="
-                      + _gated(outputs, f"wr{reg}_data", f"wr{reg}_valid"))
-        read_addr = _find_output(outputs, f"rd{reg}_addr")
+        write = ports.writes.get(reg, {})
+        fields.append(f"{reg}=" + gated(value(write.get("data")),
+                                        value(write.get("valid"))))
+        read_addr = value(ports.read_index.get(reg))
         if read_addr is not None:
             fields.append(f"{reg}.r={read_addr:x}")
     return fields
-
-
-def _randomized_state(artifact: IsaxArtifact,
-                      rng: random.Random) -> ArchState:
-    state = ArchState(artifact.isa)
-    for index in range(1, 32):
-        state.write_x(index, rng.getrandbits(32))
-    state.pc = rng.getrandbits(32) & ~3
-    for reg in state.custom:
-        for element in range(len(state.custom[reg])):
-            state.write_custom(reg, rng.getrandbits(32), element)
-    for _ in range(64):
-        state.write_mem_byte(rng.getrandbits(32), rng.getrandbits(8))
-    return state
 
 
 def architectural_trace(artifact: IsaxArtifact, trials: int = 4,
@@ -88,29 +71,17 @@ def architectural_trace(artifact: IsaxArtifact, trials: int = 4,
     different -O levels of the same source are directly comparable.
     """
     lines = []
+    isa = artifact.isa
     for name in sorted(artifact.functionalities):
-        functionality = artifact.functionalities[name]
         rng = random.Random(f"{seed}:{name}")
-        for trial in range(trials):
-            state = _randomized_state(artifact, rng)
-            result: CosimResult
-            if functionality.kind == "instruction":
-                encoding = artifact.isa.instructions[name].encoding
-                fields = {
-                    fname: rng.getrandbits(field.width)
-                    for fname, field in encoding.fields.items()
-                }
-                for reg_field in ("rs1", "rs2", "rd"):
-                    if reg_field in fields:
-                        fields[reg_field] = rng.randrange(32)
-                result = cosim_instruction(artifact, name, state, fields,
-                                           sim_engine=sim_engine)
-            else:
-                result = cosim_always(artifact, name, state,
-                                      sim_engine=sim_engine)
-            regs = sorted(state.custom)
+        encoding = _encoding(artifact, name)
+        specs = [_draw_stimulus(isa, encoding, rng) for _ in range(trials)]
+        ports, results = _run_trials(artifact, name, specs, sim_engine)
+        for trial, ((state, _fields), result) in enumerate(
+                zip(specs, results)):
             parts = [f"{name} t{trial}", f"ok={int(result.matches)}"]
-            parts.extend(_trace_fields(result.rtl_outputs, regs))
+            parts.extend(_trace_fields(ports, result.rtl_outputs,
+                                       sorted(state.custom)))
             lines.append(" ".join(parts))
     return "\n".join(lines)
 

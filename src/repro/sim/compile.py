@@ -133,8 +133,38 @@ _MEMO = ModuleMemo(CODEGEN_COUNTS)
 
 
 def _build_schedule(module: HWModule) -> List[Operation]:
-    from repro.sim.rtl_sim import RTLSimulator
-    return RTLSimulator._schedule(module)
+    """Topological order where registers break cycles: a register's
+    output is available at the start of the cycle, and its data operand
+    is only sampled at the clock edge."""
+    ops = module.body.operations
+    index = set(ops)
+    state: Dict[Operation, int] = {}
+    order: List[Operation] = []
+
+    def visit(op: Operation) -> None:
+        mark = state.get(op, 0)
+        if mark == 2:
+            return
+        if mark == 1:
+            raise IRError(
+                f"combinational cycle in module '{module.name}' at "
+                f"'{op.name}'"
+            )
+        state[op] = 1
+        if op.name != "seq.compreg":
+            for operand in op.operands:
+                if operand.owner is not None and operand.owner in index:
+                    visit(operand.owner)
+        state[op] = 2
+        order.append(op)
+
+    # Registers first (their outputs are cycle inputs), then the rest.
+    for op in ops:
+        if op.name == "seq.compreg":
+            visit(op)
+    for op in ops:
+        visit(op)
+    return order
 
 
 def _schedule(module: HWModule) -> List[Operation]:

@@ -33,9 +33,9 @@ raise only when a construct executes (division by zero, an identifier not
 bound where it is read, a void function used as a value, a non-constant
 range, a write to a ``const`` register, the runaway-loop guard) is raised
 by its closure when it runs, with the same :class:`CoreDSLError` message.
-A declaration that is the unbraced body of an ``if``/``for``/``while``
-enters the enclosing scope only when it executes, so a name it may bind is
-looked up at run time (its slot holds ``None`` while undeclared).
+Every declaration sits in a braced block (the type checker rejects an
+unbraced one as the body of ``if``/``else``/``for``/``while``), so each
+name resolves to one slot at translation.
 
 **AST immutability contract.**  A program lives as long as its
 :class:`~repro.frontend.elaboration.ElaboratedISA`; this relies on the
@@ -218,8 +218,8 @@ def _translate_function(isa: ElaboratedISA, sig: FunctionSig):
     already-evaluated argument values."""
     translator = _Translator(isa, set())
     translator.push()
-    params = [(translator.declare(name, type_, maybe=False).slot,)
-              + _norm(type_) for name, type_ in sig.params]
+    params = [(translator.declare(name, type_).slot,) + _norm(type_)
+              for name, type_ in sig.params]
     body, _returns = translator.stmt(sig.definition.body)
     nslots = translator.nslots
     ret = sig.return_type
@@ -258,24 +258,12 @@ def _nop(c, f):
 
 
 class _Local:
-    __slots__ = ("slot", "type", "maybe", "read")
+    __slots__ = ("slot", "type", "read")
 
-    def __init__(self, slot: int, type_: IntType, maybe: bool):
+    def __init__(self, slot: int, type_: IntType):
         self.slot = slot
         self.type = type_
-        self.maybe = maybe        # declared only on some paths
         self.read: Closure = lambda c, f: f[slot]
-
-
-def _escaping_decls(stmt: Optional[ast.Stmt]) -> List[ast.VarDecl]:
-    """Declarations ``stmt`` makes in the scope it runs in: an unbraced
-    ``if``/``else`` body opens no scope of its own."""
-    if isinstance(stmt, ast.VarDecl):
-        return [stmt]
-    if isinstance(stmt, ast.IfStmt):
-        return _escaping_decls(stmt.then_body) + _escaping_decls(
-            stmt.else_body)
-    return []
 
 
 def _names(expr: Optional[ast.Expr]) -> set:
@@ -304,12 +292,6 @@ class _Translator:
         self.fields = fields
         self.scopes: List[Dict[str, _Local]] = []
         self.nslots = 0
-        #: Per scope: slots of maybe-declared locals, reset on entry.
-        self.resets: List[List[int]] = []
-        #: True while translating an unbraced if/else body.
-        self.conditional = False
-        #: Loop-body declarations bound before the loop's scope is entered.
-        self.bound: Dict[int, _Local] = {}
         #: One shared closure per constant value and per field read.
         self.constants: Dict[Optional[int], Closure] = {}
         self.field_reads: Dict[str, Closure] = {}
@@ -317,43 +299,24 @@ class _Translator:
     # ------------------------------------------------------------ scopes
     def push(self) -> None:
         self.scopes.append({})
-        self.resets.append([])
 
-    def pop(self) -> List[int]:
+    def pop(self) -> None:
         self.scopes.pop()
-        return self.resets.pop()
 
-    def declare(self, name: str, type_: IntType, maybe: bool) -> _Local:
-        local = _Local(self.nslots, type_, maybe)
+    def declare(self, name: str, type_: IntType) -> _Local:
+        local = _Local(self.nslots, type_)
         self.nslots += 1
         self.scopes[-1][name] = local
-        if maybe:
-            self.resets[-1].append(local.slot)
         return local
 
     def use(self, name: str, local: Callable[[_Local], Closure],
-            other: Callable[[], Closure], depth: Optional[int] = None
-            ) -> Closure:
+            other: Callable[[], Closure]) -> Closure:
         """Compile a use of ``name``: ``local(binding)`` where it names a
-        local, ``other()`` where it does not; a maybe-declared local picks
-        between the two at run time."""
-        if depth is None:
-            depth = len(self.scopes) - 1
-        for level in range(depth, -1, -1):
-            binding = self.scopes[level].get(name)
-            if binding is None:
-                continue
-            declared = local(binding)
-            if not binding.maybe:
-                return declared
-            otherwise = self.use(name, local, other, level - 1)
-            slot = binding.slot
-
-            def pick(c, f):
-                if f[slot] is not None:
-                    return declared(c, f)
-                return otherwise(c, f)
-            return pick
+        local, ``other()`` where it does not."""
+        for scope in reversed(self.scopes):
+            binding = scope.get(name)
+            if binding is not None:
+                return local(binding)
         return other()
 
     def constant(self, value: Optional[int]) -> Closure:
@@ -379,33 +342,13 @@ class _Translator:
             return _raises(f"cannot interpret {type(node).__name__}"), False
         return method(self, node)
 
-    def branch(self, node: ast.Stmt) -> Tuple[Closure, bool]:
-        """A body that runs on some paths only: an unbraced declaration in
-        it binds its name in the enclosing scope only when it runs."""
-        if isinstance(node, ast.BlockStmt):
-            return self.stmt(node)
-        was, self.conditional = self.conditional, True
-        result = self.stmt(node)
-        self.conditional = was
-        return result
-
     def _block_stmt(self, node: ast.BlockStmt):
-        was, self.conditional = self.conditional, False
         self.push()
         parts = [self.stmt(s) for s in node.statements]
-        self.conditional = was
-        resets = self.pop()
+        self.pop()
         stmts = tuple(run for run, _ in parts)
         returns = any(may for _, may in parts)
-        if resets:
-            def run(c, f):
-                for slot in resets:
-                    f[slot] = None
-                for s in stmts:
-                    result = s(c, f)
-                    if result is not None:
-                        return result
-        elif not stmts:
+        if not stmts:
             run = _nop
         elif len(stmts) == 1:
             run = stmts[0]
@@ -423,10 +366,7 @@ class _Translator:
 
     def _var_decl(self, node: ast.VarDecl):
         init = self.expr(node.init) if node.init is not None else None
-        local = self.bound.pop(id(node), None)
-        if local is None:
-            local = self.declare(node.name, node.decl_type, self.conditional)
-        slot = local.slot
+        slot = self.declare(node.name, node.decl_type).slot
         h, m = _norm(node.decl_type)
         if init is None:
             def run(c, f):
@@ -521,13 +461,13 @@ class _Translator:
 
     def _if_stmt(self, node: ast.IfStmt):
         cond = self.expr(node.cond)
-        then, then_returns = self.branch(node.then_body)
+        then, then_returns = self.stmt(node.then_body)
         if node.else_body is None:
             def run(c, f):
                 if cond(c, f):
                     return then(c, f)
             return run, then_returns
-        other, else_returns = self.branch(node.else_body)
+        other, else_returns = self.stmt(node.else_body)
 
         def run_else(c, f):
             if cond(c, f):
@@ -535,29 +475,16 @@ class _Translator:
             return other(c, f)
         return run_else, then_returns or else_returns
 
-    def _loop_scope(self, body: ast.Stmt) -> None:
-        """Bind the declarations the loop body makes in the loop's own
-        scope: from the second iteration on they may be visible anywhere
-        in the loop, so every use checks them at run time."""
-        for decl in _escaping_decls(body):
-            self.bound[id(decl)] = self.declare(decl.name, decl.decl_type,
-                                                maybe=True)
-
     def _for_stmt(self, node: ast.ForStmt):
-        was, self.conditional = self.conditional, False
         self.push()
         init = self.stmt(node.init)[0] if node.init is not None else _nop
-        self._loop_scope(node.body)
         cond = (self.expr(node.cond) if node.cond is not None
                 else self.constant(1))
-        body, returns = self.branch(node.body)
+        body, returns = self.stmt(node.body)
         step = self.stmt(node.step)[0] if node.step is not None else _nop
-        resets = self.pop()
-        self.conditional = was
+        self.pop()
 
         def run(c, f):
-            for slot in resets:
-                f[slot] = None
             init(c, f)
             limit = _MAX_LOOP_ITERATIONS
             guard = 0
@@ -572,18 +499,13 @@ class _Translator:
         return run, returns
 
     def _while_stmt(self, node: ast.WhileStmt):
-        was, self.conditional = self.conditional, False
         self.push()
-        self._loop_scope(node.body)
         cond = self.expr(node.cond)
-        body, returns = self.branch(node.body)
-        resets = self.pop()
-        self.conditional = was
+        body, returns = self.stmt(node.body)
+        self.pop()
         do_while = node.is_do_while
 
         def run(c, f):
-            for slot in resets:
-                f[slot] = None
             limit = _MAX_LOOP_ITERATIONS
             guard = 0
             if do_while:
@@ -606,7 +528,7 @@ class _Translator:
         returns = False
         for case in node.cases:
             label = self.expr(case.label) if case.label is not None else None
-            body, may = self.branch(case.body)
+            body, may = self.stmt(case.body)
             cases.append((label, body))
             returns = returns or may
 

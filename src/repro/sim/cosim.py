@@ -8,21 +8,20 @@ cycle-level RTL simulation of the generated module, and compares every
 architectural effect — GPR result, PC redirect, memory request, custom
 register writes — including the valid bits.
 
-Memory reads are resolved with a fixpoint loop: the module's address
-outputs are observed, the corresponding data is fed back on the
-``mem_rdata``/``rd<REG>_data`` inputs, and simulation repeats until the
-requests stabilize (one round suffices unless an address depends on loaded
+Every entry point (:func:`verify_artifact`, :func:`cosim_instruction`,
+:func:`cosim_always` and :mod:`repro.opt.equiv`) runs through one trial
+runner.  For one functionality and a list of ``(state, fields)`` trials it
+resolves the module's ports once from the port records hwgen writes
+(:class:`repro.dialects.hw.Port` ``role``/``signal``/``register``), builds
+every trial's input vector, simulates all trials (with
+``sim_engine="batched"`` as one :meth:`repro.sim.batch.BatchedSimulator
+.run_const` over one lane per trial, otherwise on one
+:class:`~repro.sim.rtl_sim.RTLSimulator` reset between trials) and then
+resolves memory and indexed custom-register reads with a fixpoint: the
+address outputs are observed, the corresponding data is fed back on the
+read-data inputs, and the lanes whose inputs changed are simulated again,
+at most three rounds (one suffices unless an address depends on loaded
 data).
-
-``verify_artifact`` runs randomized trials over all functionalities; it is
-what a downstream ISAX author would call before handing the SystemVerilog
-to a real flow.  With ``sim_engine="batched"`` the randomized trials of
-each functionality are evaluated together through the numpy lane-parallel
-engine (one lane per trial, :meth:`repro.sim.batch.BatchedSimulator
-.run_const`); functionalities whose datapath reads memory or indexed
-custom registers need the per-trial feedback fixpoint and transparently
-fall back to the scalar path — both populations are counted on the
-report (``batched_trials`` / ``scalar_fallbacks``).
 """
 
 from __future__ import annotations
@@ -30,12 +29,17 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.dialects.hw import HWModule, Port
+from repro.frontend.elaboration import Encoding
 from repro.hls.longnail import FunctionalityArtifact, IsaxArtifact
 from repro.sim.coredsl_interp import ArchState, CoreDSLInterpreter, Effect
 from repro.sim.rtl_sim import RTLSimulator
 from repro.utils.bits import to_unsigned
+
+#: Read-feedback rounds after the first simulation of a trial.
+_FEEDBACK_ROUNDS = 3
 
 
 @dataclasses.dataclass
@@ -61,34 +65,88 @@ class CosimResult:
         return self.matches
 
 
-def _port_groups(module) -> Dict[str, List[str]]:
-    groups: Dict[str, List[str]] = {}
-    for port in module.ports:
-        base = port.name.rsplit("_", 1)[0]
-        groups.setdefault(base, []).append(port.name)
-    return groups
+class _Ports:
+    """One module's ports, resolved once from the hwgen port records.
+    Lowering admits each SCAIE-V sub-interface once per functionality, so
+    an ``(interface, signal)`` pair names at most one port."""
 
+    def __init__(self, module: HWModule):
+        #: ``(role, signal)`` -> output name, standard interfaces.
+        self.outputs: Dict[Tuple[Optional[str], Optional[str]], str] = {}
+        #: register -> ``{signal: output name}`` of its write interface.
+        self.writes: Dict[str, Dict[Optional[str], str]] = {}
+        #: register -> read-index output (indexed custom reads only).
+        self.read_index: Dict[str, str] = {}
+        #: register -> read-data input.
+        self.read_data: Dict[str, str] = {}
+        #: interface -> input name, standard inputs (``stall`` inputs
+        #: are left undriven).
+        self.standard_inputs: Dict[Optional[str], str] = {}
+        self.mem_data: Optional[Port] = None
+        for port in module.ports:
+            register = port.register
+            if port.direction == "in":
+                if register is not None:
+                    self.read_data[register] = port.name
+                elif port.role == "RdMem":
+                    self.mem_data = port
+                else:
+                    self.standard_inputs[port.role] = port.name
+            elif register is None:
+                self.outputs[(port.role, port.signal)] = port.name
+            elif port.role == f"Rd{register}":
+                self.read_index[register] = port.name
+            else:
+                self.writes.setdefault(register, {})[port.signal] = port.name
+        self.mem_addr = self.outputs.get(("RdMem", "addr"))
 
-def _find_output(outputs: Dict[str, int], prefix: str) -> Optional[int]:
-    for name, value in outputs.items():
-        if name.startswith(prefix):
-            return value
-    return None
+    def stimulus(self, state: ArchState, fields: Optional[Dict[str, int]],
+                 word: int) -> Dict[str, int]:
+        """A trial's input vector before read feedback.  Scalar custom
+        reads have no address port, so they resolve from the pre-state."""
+        fields = fields or {}
+        values = {"RdRS1": state.read_x(fields.get("rs1", 0)),
+                  "RdRS2": state.read_x(fields.get("rs2", 0)),
+                  "RdPC": state.pc, "RdInstr": word}
+        inputs = {self.standard_inputs[role]: value
+                  for role, value in values.items()
+                  if role in self.standard_inputs}
+        for register, name in self.read_data.items():
+            if register in state.custom:
+                inputs[name] = state.read_custom(register)
+        return inputs
+
+    def feedback(self, state: ArchState, inputs: Dict[str, int],
+                 outputs: Dict[str, int]) -> bool:
+        """Drive the read data the outputs ask for; True if an input
+        changed (the trial must be simulated again)."""
+        reads: Dict[str, int] = {}
+        if self.mem_addr is not None and self.mem_data is not None:
+            reads[self.mem_data.name] = state.read_mem(
+                outputs[self.mem_addr], self.mem_data.width // 8)
+        for register, index in self.read_index.items():
+            if register in state.custom:
+                reads[self.read_data[register]] = state.read_custom(
+                    register, outputs[index])
+        changed = any(inputs.get(name) != data
+                      for name, data in reads.items())
+        inputs.update(reads)
+        return changed
 
 
 def _depth(functionality: FunctionalityArtifact) -> int:
-    """Cycles until a functionality's outputs are steady."""
+    """Cycles until a functionality's outputs are steady: an always-block
+    is one combinational cycle."""
+    if functionality.kind != "instruction":
+        return 1
     return functionality.schedule.makespan + 2
 
 
-def _steady_outputs(functionality: FunctionalityArtifact,
-                    inputs: Dict[str, int], sim_engine: str,
-                    depth: int) -> Dict[str, int]:
-    sim = RTLSimulator(functionality.module, engine=sim_engine)
-    outputs: Dict[str, int] = {}
-    for _ in range(depth):
-        outputs = sim.step(inputs)
-    return outputs
+def _encoding(artifact: IsaxArtifact, name: str) -> Optional[Encoding]:
+    """The encoding of instruction ``name``; None for an always-block."""
+    if artifact.artifact(name).kind != "instruction":
+        return None
+    return artifact.isa.instructions[name].encoding
 
 
 def _fork_state(state: ArchState) -> ArchState:
@@ -102,161 +160,104 @@ def _fork_state(state: ArchState) -> ArchState:
     return golden
 
 
-def _instruction_inputs(module, state: ArchState,
-                        field_values: Dict[str, int],
-                        word: int) -> Dict[str, int]:
-    """Initial RTL input vector for an instruction trial (before any
-    memory/indexed-register read feedback)."""
-    rs1 = field_values.get("rs1", 0)
-    rs2 = field_values.get("rs2", 0)
-    inputs: Dict[str, int] = {}
-    for port in module.inputs:
-        if port.name.startswith("rs1_data"):
-            inputs[port.name] = state.read_x(rs1)
-        elif port.name.startswith("rs2_data"):
-            inputs[port.name] = state.read_x(rs2)
-        elif port.name.startswith("pc_data"):
-            inputs[port.name] = state.pc
-        elif port.name.startswith("instr_word"):
-            inputs[port.name] = word
-        elif port.name.startswith("rd") and "_data_" in port.name:
-            # Custom-register read data: scalar reads have no address port,
-            # so resolve them immediately from the pre-state.
-            reg = port.name[2:port.name.index("_data_")]
-            if reg in state.custom:
-                inputs[port.name] = state.read_custom(reg)
-    return inputs
+def _simulator(module: HWModule, sim_engine: str, depth: int):
+    """``simulate(vectors)``: per input vector, the outputs after
+    ``depth`` cycles from reset with the inputs held constant."""
+    if sim_engine == "batched":
+        from repro.sim.batch import BatchedSimulator  # deferred: numpy
+        batched = BatchedSimulator(module)
+        return lambda vectors: batched.run_const(vectors, depth)
+    sim = RTLSimulator(module, engine=sim_engine)
+
+    def simulate(vectors):
+        results = []
+        for inputs in vectors:
+            sim.reset()
+            for _ in range(depth):
+                outputs = sim.step(inputs)
+            results.append(outputs)
+        return results
+    return simulate
 
 
-def _always_inputs(module, state: ArchState) -> Dict[str, int]:
-    """RTL input vector for one always-block evaluation."""
-    inputs: Dict[str, int] = {}
-    for port in module.inputs:
-        if port.name.startswith("pc_data"):
-            inputs[port.name] = state.pc
-        elif port.name.startswith("rd") and "_data_" in port.name:
-            reg = port.name[2:port.name.index("_data_")]
-            if reg in state.custom:
-                inputs[port.name] = state.read_custom(reg)
-    return inputs
+def _run_trials(artifact: IsaxArtifact, name: str,
+                trials: Sequence[Tuple[ArchState, Optional[Dict[str, int]]]],
+                sim_engine: str) -> Tuple[_Ports, List[CosimResult]]:
+    """Co-simulate ``(state, fields)`` trials of one functionality
+    (``fields`` is None for an always-block) against copies of each
+    ``state``; returns the resolved ports and one result per trial."""
+    functionality = artifact.artifact(name)
+    ports = _Ports(functionality.module)
+    interp = CoreDSLInterpreter(artifact.isa)
+    encoding = _encoding(artifact, name)
+    goldens: List[List[Effect]] = []
+    vectors: List[Dict[str, int]] = []
+    for state, fields in trials:
+        golden_state = _fork_state(state)
+        if encoding is None:
+            word = 0
+            goldens.append(interp.execute_always(golden_state, name))
+        else:
+            word = encoding.encode(fields)
+            goldens.append(
+                interp.execute_instruction(golden_state, name, word))
+        vectors.append(ports.stimulus(state, fields, word))
 
-
-def _needs_feedback(module) -> bool:
-    """True when the datapath observes read responses that depend on its
-    own outputs: memory loads (``mem_raddr`` -> ``mem_rdata``) or indexed
-    custom-register reads (``rd<REG>_addr`` -> ``rd<REG>_data``).  Such
-    trials need the scalar fixpoint loop; everything else can run as one
-    batched lane with constant inputs."""
-    reads_mem = (
-        any(p.name.startswith("mem_raddr") for p in module.outputs)
-        and any(p.name.startswith("mem_rdata") for p in module.inputs))
-    if reads_mem:
-        return True
-    indexed = {p.name[2:p.name.index("_addr_")]
-               for p in module.outputs
-               if p.name.startswith("rd") and "_addr_" in p.name}
-    return any(
-        p.name.startswith("rd") and "_data_" in p.name
-        and p.name[2:p.name.index("_data_")] in indexed
-        for p in module.inputs)
+    simulate = _simulator(functionality.module, sim_engine,
+                          _depth(functionality))
+    outputs = simulate(vectors)
+    pending = range(len(vectors))
+    for _round in range(_FEEDBACK_ROUNDS):
+        pending = [i for i in pending
+                   if ports.feedback(trials[i][0], vectors[i], outputs[i])]
+        if not pending:
+            break
+        for lane, lane_outputs in zip(
+                pending, simulate([vectors[i] for i in pending])):
+            outputs[lane] = lane_outputs
+    return ports, [
+        _compare(ports, name, effects, lane_outputs, inputs)
+        for effects, lane_outputs, inputs in zip(goldens, outputs, vectors)
+    ]
 
 
 def cosim_instruction(artifact: IsaxArtifact, name: str, state: ArchState,
                       field_values: Dict[str, int],
                       sim_engine: str = "auto") -> CosimResult:
     """Co-simulate one instruction against a *copy* of ``state``."""
-    return _cosim_instruction(artifact, name, state, field_values,
-                              sim_engine, _depth(artifact.artifact(name)))
-
-
-def _cosim_instruction(artifact: IsaxArtifact, name: str, state: ArchState,
-                       field_values: Dict[str, int], sim_engine: str,
-                       depth: int) -> CosimResult:
-    functionality = artifact.artifact(name)
-    isa = artifact.isa
-    encoding = isa.instructions[name].encoding
-    word = encoding.encode(field_values)
-
-    # --- golden execution on a snapshot -------------------------------------
-    golden_state = _fork_state(state)
-    interp = CoreDSLInterpreter(isa)
-    effects = interp.execute_instruction(golden_state, name, word)
-
-    # --- RTL execution with memory/register read feedback -------------------
-    module = functionality.module
-    inputs = _instruction_inputs(module, state, field_values, word)
-
-    outputs = _steady_outputs(functionality, inputs, sim_engine, depth)
-    for _round in range(3):
-        changed = False
-        read_addr = _find_output(outputs, "mem_raddr")
-        if read_addr is not None:
-            size = next(
-                (p.width for p in module.inputs
-                 if p.name.startswith("mem_rdata")), 32
-            )
-            data = state.read_mem(read_addr, size // 8)
-            for port in module.inputs:
-                if port.name.startswith("mem_rdata"):
-                    if inputs.get(port.name) != data:
-                        inputs[port.name] = data
-                        changed = True
-        for port in module.outputs:
-            # Indexed custom-register reads: feed data for the index.
-            if port.name.startswith("rd") and "_addr_" in port.name:
-                reg = port.name[2:port.name.index("_addr_")]
-                if reg in state.custom:
-                    index = outputs[port.name]
-                    data = state.read_custom(reg, index)
-                    for in_port in module.inputs:
-                        if in_port.name.startswith(f"rd{reg}_data"):
-                            if inputs.get(in_port.name) != data:
-                                inputs[in_port.name] = data
-                                changed = True
-        if not changed:
-            break
-        outputs = _steady_outputs(functionality, inputs, sim_engine, depth)
-
-    return _compare(functionality, effects, outputs, state, golden_state,
-                    inputs)
+    return _run_trials(artifact, name, [(state, field_values)],
+                       sim_engine)[1][0]
 
 
 def cosim_always(artifact: IsaxArtifact, name: str,
                  state: ArchState, sim_engine: str = "auto") -> CosimResult:
     """Co-simulate one always-block evaluation (single combinational
     cycle)."""
-    functionality = artifact.artifact(name)
-    isa = artifact.isa
-    golden_state = _fork_state(state)
-    interp = CoreDSLInterpreter(isa)
-    effects = interp.execute_always(golden_state, name)
-
-    module = functionality.module
-    inputs = _always_inputs(module, state)
-    outputs = RTLSimulator(module, engine=sim_engine).step(inputs)
-    return _compare(functionality, effects, outputs, state, golden_state,
-                    inputs)
+    return _run_trials(artifact, name, [(state, None)], sim_engine)[1][0]
 
 
-def _compare(functionality: FunctionalityArtifact, effects: List[Effect],
-             outputs: Dict[str, int], pre: ArchState,
-             post: ArchState,
-             inputs: Optional[Dict[str, int]] = None) -> CosimResult:
+def _compare(ports: _Ports, name: str, effects: List[Effect],
+             outputs: Dict[str, int],
+             inputs: Dict[str, int]) -> CosimResult:
     mismatches: List[Mismatch] = []
 
-    def check(kind: str, expect_value: Optional[int], data_prefix: str,
-              valid_prefix: str, width: int = 32) -> None:
-        valid = _find_output(outputs, valid_prefix)
-        data = _find_output(outputs, data_prefix)
+    def value(port: Optional[str]) -> Optional[int]:
+        return None if port is None else outputs[port]
+
+    def check(kind: str, expect_value: Optional[int], label: str,
+              data_port: Optional[str], valid_port: Optional[str],
+              width: int = 32) -> None:
+        valid = value(valid_port)
+        data = value(data_port)
         if expect_value is None:
             if valid not in (None, 0):
                 mismatches.append(Mismatch(
-                    kind, f"RTL asserts {valid_prefix}* but the golden "
-                          "model performs no such write"))
+                    kind, f"RTL asserts the {label} valid bit but the "
+                          "golden model performs no such write"))
             return
         if data is None:
             mismatches.append(Mismatch(
-                kind, f"module has no {data_prefix}* output"))
+                kind, f"module has no {label} data output"))
             return
         if valid == 0:
             mismatches.append(Mismatch(
@@ -268,91 +269,42 @@ def _compare(functionality: FunctionalityArtifact, effects: List[Effect],
                 kind, f"value mismatch: rtl={data:#x} "
                       f"golden={to_unsigned(expect_value, width):#x}"))
 
-    gpr = next((e for e in effects if e.kind == "gpr"), None)
-    check("gpr", gpr.value if gpr else None, "wrrd_data", "wrrd_valid")
+    def standard(kind: str, role: str, effect: Optional[Effect],
+                 width: int = 32) -> None:
+        check(kind, effect.value if effect else None, role,
+              ports.outputs.get((role, "data")),
+              ports.outputs.get((role, "valid")), width)
 
-    pc = next((e for e in effects if e.kind == "pc"), None)
-    check("pc", pc.value if pc else None, "wrpc_data", "wrpc_valid")
-
+    standard("gpr", "WrRD", next((e for e in effects if e.kind == "gpr"),
+                                 None))
+    standard("pc", "WrPC", next((e for e in effects if e.kind == "pc"),
+                                None))
     mem = next((e for e in effects if e.kind == "mem"), None)
     if mem is not None:
-        check("mem.data", mem.value, "mem_wdata", "mem_wvalid",
-              width=mem.width)
-        waddr = _find_output(outputs, "mem_waddr")
+        standard("mem.data", "WrMem", mem, width=mem.width)
+        waddr = value(ports.outputs.get(("WrMem", "addr")))
         if waddr is not None and waddr != mem.index:
             mismatches.append(Mismatch(
                 "mem.addr", f"rtl={waddr:#x} golden={mem.index:#x}"))
     else:
-        check("mem", None, "mem_wdata", "mem_wvalid")
+        standard("mem", "WrMem", None)
 
     for effect in effects:
         if effect.kind != "custom":
             continue
+        write = ports.writes.get(effect.name, {})
         check(f"custom.{effect.name}", effect.value,
-              f"wr{effect.name}_data", f"wr{effect.name}_valid",
-              width=effect.width)
+              f"'{effect.name}' write", write.get("data"),
+              write.get("valid"), width=effect.width)
 
     return CosimResult(
-        functionality=functionality.name,
+        functionality=name,
         matches=not mismatches,
         mismatches=mismatches,
         golden_effects=effects,
         rtl_outputs=outputs,
-        rtl_inputs=dict(inputs or {}),
+        rtl_inputs=dict(inputs),
     )
-
-
-def _cosim_instruction_batch(artifact: IsaxArtifact, name: str,
-                             specs, depth: int) -> List[CosimResult]:
-    """Run every (state, fields) trial of one instruction as one lane of
-    a single batched steady-state evaluation.  Only valid for datapaths
-    without read feedback (see :func:`_needs_feedback`)."""
-    from repro.sim.batch import BatchedSimulator  # deferred: numpy
-
-    functionality = artifact.artifact(name)
-    isa = artifact.isa
-    encoding = isa.instructions[name].encoding
-    module = functionality.module
-    goldens = []
-    vectors: List[Dict[str, int]] = []
-    for state, fields in specs:
-        word = encoding.encode(fields)
-        golden_state = _fork_state(state)
-        effects = CoreDSLInterpreter(isa).execute_instruction(
-            golden_state, name, word)
-        goldens.append((effects, golden_state))
-        vectors.append(_instruction_inputs(module, state, fields, word))
-    outs = BatchedSimulator(module).run_const(vectors, depth)
-    return [
-        _compare(functionality, effects, outputs, state, golden_state,
-                 inputs)
-        for (state, _), (effects, golden_state), inputs, outputs
-        in zip(specs, goldens, vectors, outs)
-    ]
-
-
-def _cosim_always_batch(artifact: IsaxArtifact, name: str,
-                        states) -> List[CosimResult]:
-    """Run every always-block trial as one lane of a single-cycle batch."""
-    from repro.sim.batch import BatchedSimulator  # deferred: numpy
-
-    functionality = artifact.artifact(name)
-    isa = artifact.isa
-    module = functionality.module
-    goldens = []
-    vectors: List[Dict[str, int]] = []
-    for state in states:
-        golden_state = _fork_state(state)
-        effects = CoreDSLInterpreter(isa).execute_always(golden_state, name)
-        goldens.append((effects, golden_state))
-        vectors.append(_always_inputs(module, state))
-    outs = BatchedSimulator(module).run_const(vectors, 1)
-    return [
-        _compare(functionality, effects, outputs, state, golden_state,
-                 inputs)
-        for state, (effects, golden_state), inputs, outputs
-        in zip(states, goldens, vectors, outs)
-    ]
 
 
 @dataclasses.dataclass
@@ -371,8 +323,9 @@ class VerificationReport:
     #: Trials evaluated lane-parallel through the batched engine; only
     #: populated when ``sim_engine="batched"``.
     batched_trials: int = 0
-    #: Trials that needed the scalar read-feedback fixpoint and fell back
-    #: to the per-trial path despite ``sim_engine="batched"``.
+    #: Trials that left the lane-parallel path under ``sim_engine=
+    #: "batched"``.  Always 0 since batched lanes run the read-feedback
+    #: fixpoint themselves; kept because discovery pricing records it.
     scalar_fallbacks: int = 0
 
     @property
@@ -456,48 +409,22 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
     being discarded.  ``sim_engine`` selects the RTL simulation engine
     (``auto``/``interp``/``compiled``/``batched``, see
     :mod:`repro.sim.compile`).  With ``batched``, each functionality's
-    trials run lane-parallel through one numpy evaluation unless its
-    datapath needs read feedback, in which case they fall back to the
-    scalar per-trial path; the report counts both populations.  Stimuli
-    are drawn in the same RNG order either way, so a seed reproduces the
-    exact trial set regardless of engine.
+    trials run lane-parallel through one numpy evaluation, read feedback
+    included.  Stimuli are drawn in the same RNG order for every engine,
+    so a seed reproduces the exact trial set regardless of engine.
     """
     rng = random.Random(seed)
     failures: List[CosimResult] = []
     vcd_paths: List[str] = []
     total = 0
     batched_trials = 0
-    scalar_fallbacks = 0
-    batch = sim_engine == "batched"
     for name, functionality in artifact.functionalities.items():
-        is_instr = functionality.kind == "instruction"
-        encoding = (artifact.isa.instructions[name].encoding
-                    if is_instr else None)
-        depth = _depth(functionality)
-        # Draw every trial's stimulus upfront, in the exact per-trial
-        # order of the scalar path, so the RNG stream (and therefore the
-        # trial set for a given seed) is engine-independent.
+        encoding = _encoding(artifact, name)
         specs = [_draw_stimulus(artifact.isa, encoding, rng)
                  for _ in range(trials)]
-        if batch and not _needs_feedback(functionality.module):
-            if is_instr:
-                results = _cosim_instruction_batch(artifact, name, specs,
-                                                   depth)
-            else:
-                results = _cosim_always_batch(
-                    artifact, name, [state for state, _ in specs])
+        _ports, results = _run_trials(artifact, name, specs, sim_engine)
+        if sim_engine == "batched":
             batched_trials += len(specs)
-        else:
-            if batch:
-                scalar_fallbacks += len(specs)
-            results = []
-            for state, fields in specs:
-                if is_instr:
-                    results.append(_cosim_instruction(
-                        artifact, name, state, fields, sim_engine, depth))
-                else:
-                    results.append(cosim_always(
-                        artifact, name, state, sim_engine=sim_engine))
         for result in results:
             total += 1
             if not result.matches:
@@ -505,7 +432,8 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
                 if vcd_dir is not None:
                     vcd_paths.append(_dump_failure_vcd(
                         functionality, result, vcd_dir, artifact.name,
-                        artifact.core_name, seed, total, sim_engine, depth,
+                        artifact.core_name, seed, total, sim_engine,
+                        _depth(functionality),
                     ))
     return VerificationReport(
         artifact=artifact.name,
@@ -515,5 +443,4 @@ def verify_artifact(artifact: IsaxArtifact, trials: int = 25,
         seed=seed,
         vcd_paths=vcd_paths,
         batched_trials=batched_trials,
-        scalar_fallbacks=scalar_fallbacks,
     )

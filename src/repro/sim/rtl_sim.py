@@ -78,41 +78,6 @@ class RTLSimulator:
             self._compiled = compiled
         self.engine = "compiled" if self._compiled is not None else "interp"
 
-    @staticmethod
-    def _schedule(module: HWModule) -> List[Operation]:
-        """Topological order where registers break cycles: a register's
-        output is available at the start of the cycle, and its data operand
-        is only sampled at the clock edge."""
-        ops = module.body.operations
-        index = set(ops)
-        state: Dict[Operation, int] = {}
-        order: List[Operation] = []
-
-        def visit(op: Operation) -> None:
-            mark = state.get(op, 0)
-            if mark == 2:
-                return
-            if mark == 1:
-                raise IRError(
-                    f"combinational cycle in module '{module.name}' at "
-                    f"'{op.name}'"
-                )
-            state[op] = 1
-            if op.name != "seq.compreg":
-                for operand in op.operands:
-                    if operand.owner is not None and operand.owner in index:
-                        visit(operand.owner)
-            state[op] = 2
-            order.append(op)
-
-        # Registers first (their outputs are cycle inputs), then the rest.
-        for op in ops:
-            if op.name == "seq.compreg":
-                visit(op)
-        for op in ops:
-            visit(op)
-        return order
-
     # ------------------------------------------------------------------ API
     def reset(self) -> None:
         """Reset all pipeline registers to zero."""

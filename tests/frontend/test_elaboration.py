@@ -209,6 +209,23 @@ class TestStateElaboration:
                 " register unsigned<8> R; register unsigned<8> R; } }"
             )
 
+    @pytest.mark.parametrize("name", [
+        "pc", "rd", "RS1", "RS2", "Instr", "Mem", "RD", "CustReg",
+        "IValid", "Stall", "Flush"])
+    def test_register_aliasing_an_interface_rejected(self, name):
+        """``pc``/``rd`` would generate the ``wrpc_*``/``wrrd_*`` ports of
+        the standard PC and GPR writes; ``RS1``, ``Stall`` ... would be
+        configured as the standard ``RdRS1``, ``RdStall`` ...
+        sub-interfaces."""
+        with pytest.raises(CoreDSLError, match=f"custom register '{name}' "
+                                               "would alias") as info:
+            elaborate(
+                'import "RV32I.core_desc"\n'
+                "InstructionSet A extends RV32I {\n"
+                f"  architectural_state {{ register unsigned<32> {name}; }}"
+                "\n}")
+        assert info.value.loc is not None and info.value.loc.line == 3
+
     def test_custom_state_excludes_base(self):
         isa = elaborate(DOTPROD)
         assert isa.custom_state() == []

@@ -44,6 +44,24 @@ class TestPorts:
         _graph, _schedule, module = compiled(SIMPLE)
         assert {p.role for p in module.outputs} == {"WrRD"}
 
+    def test_ports_record_signal_and_register(self):
+        """Every interface port says which signal it carries and, for a
+        custom register, which register — the cosim runner, the equiv
+        trace and the timing model read these, never the names."""
+        from repro.isaxes import AUTOINC
+
+        module = compile_isax(AUTOINC, "VexRiscv").artifact("lw_ai").module
+        records = {(p.direction, p.role, p.signal, p.register)
+                   for p in module.ports if p.role != "stall"}
+        assert records == {
+            ("out", "RdMem", "addr", None), ("out", "RdMem", "valid", None),
+            ("in", "RdMem", "data", None),
+            ("out", "WrRD", "data", None), ("out", "WrRD", "valid", None),
+            ("in", "RdADDR", "data", "ADDR"),
+            ("out", "WrADDR.data", "data", "ADDR"),
+            ("out", "WrADDR.data", "valid", "ADDR"),
+        }
+
     def test_port_stages_recorded(self):
         _graph, schedule, module = compiled(SIMPLE)
         rs1 = next(p for p in module.inputs if p.name.startswith("rs1"))

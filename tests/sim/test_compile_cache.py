@@ -1,14 +1,16 @@
 """Compile-memoization regression tests.
 
-``verify_artifact`` used to rebuild (codegen + ``exec``) the step function
-of the same module up to 4x per trial through ``_steady_outputs``; the
-per-module cache in :mod:`repro.sim.compile` must bring that down to one
-codegen per module per engine, across an arbitrary number of trials and
-simulator constructions.
+``verify_artifact`` once rebuilt (codegen + ``exec``) the step function
+of the same module up to 4x per trial, one simulator per read-feedback
+round; the per-module cache in :mod:`repro.sim.compile` must bring that
+down to one codegen per module per engine, across an arbitrary number of
+trials and simulator constructions.
 """
 
 from repro import compile_isax
-from repro.isaxes import AUTOINC
+import pytest
+
+from repro.isaxes import AUTOINC, IJMP
 from repro.sim import (
     RTLSimulator,
     clear_compile_cache,
@@ -32,10 +34,9 @@ InstructionSet cachex extends RV32I {
 
 
 def test_verify_artifact_compiles_each_module_once():
-    """The memoization bugfix: a full randomized verification run —
-    many trials, each constructing simulators repeatedly inside the
-    read-feedback fixpoint — performs exactly one scalar codegen and one
-    schedule per module, not one per trial."""
+    """The memoization bugfix: a full randomized verification run — many
+    trials, each with read-feedback rounds — performs exactly one scalar
+    codegen and one schedule per module, not one per trial."""
     artifact = compile_isax(AUTOINC, "VexRiscv")
     clear_compile_cache()
     report = verify_artifact(artifact, trials=8, seed=3)
@@ -58,6 +59,23 @@ def test_batched_verify_compiles_each_module_once():
     stats = compile_cache_stats()
     assert stats["batched"] == len(artifact.functionalities) == 1
     assert stats["scalar"] == 0
+
+
+@pytest.mark.parametrize("source", [AUTOINC, IJMP], ids=["autoinc", "ijmp"])
+def test_batched_verify_runs_read_feedback_in_lanes(source):
+    """Memory and custom-register reads need the read-feedback fixpoint;
+    the batched engine runs it over its own lanes, so no trial falls back
+    to single-lane stepping and no scalar step function is generated."""
+    artifact = compile_isax(source, "VexRiscv")
+    clear_compile_cache()
+    report = verify_artifact(artifact, trials=8, seed=3,
+                             sim_engine="batched")
+    assert report.passed
+    assert report.batched_trials == report.trials
+    assert report.scalar_fallbacks == 0
+    stats = compile_cache_stats()
+    assert stats["scalar"] == 0
+    assert stats["batched"] == len(artifact.functionalities)
 
 
 def test_repeated_simulator_constructions_hit_the_cache():

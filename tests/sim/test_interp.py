@@ -339,29 +339,32 @@ class TestGoldenCorners:
         assert state.read_x(3) == 0x0302
         assert state.read_x(4) == 0xBC
 
-    def test_unbraced_declaration_binds_only_when_it_runs(self):
-        """``if (c) T x = ...;`` declares ``x`` in the enclosing scope only
-        on the path that runs, so later reads fall back to the register."""
-        isa = _isa("register unsigned<8> x;",
-                   "if (X[rs1][0]) unsigned<8> x = 5; X[rd] = x; x = 7;")
-        for value, result, register in ((1, 5, 0), (0, 0, 7)):
-            state = ArchState(isa)
-            state.write_x(1, value)
-            state, _ = _run(isa, state)
-            assert (state.read_x(2), state.read_custom("x")) == (
-                result, register)
+    @pytest.mark.parametrize("keyword, body", [
+        ("if", "if (X[rs1][0]) unsigned<8> x = 5; X[rd] = x; x = 7;"),
+        ("else", "if (X[rs1][0]) X[rd] = 1; else unsigned<8> x = 5;"),
+        ("for", "for (unsigned<2> i = 0; i < 3; i += 1) unsigned<8> x = i;"),
+        ("while", "while (X[rs1][0]) unsigned<8> x = 5;"),
+        ("do", "do unsigned<8> x = 5; while (X[rs1][0]);"),
+    ], ids=["if", "else", "for", "while", "do"])
+    def test_unbraced_declaration_body_is_rejected(self, keyword, body):
+        """As in C, a declaration cannot be the bare body of a conditional
+        or loop: the checker rejects it with a location instead of binding
+        the name on some paths only."""
+        with pytest.raises(CoreDSLError,
+                           match=f"declaration of 'x' as the body of "
+                                 f"'{keyword}' must be enclosed in braces"
+                           ) as info:
+            _isa("register unsigned<8> x;", body)
+        assert info.value.loc is not None
 
-    def test_unbound_identifier_raises_only_when_read(self):
-        isa = _isa(body="if (X[rs1][0]) unsigned<8> y = 5; "
-                        "if (X[rs1][0]) X[rd] = y;")
-        assert _run(isa)[0].read_x(2) == 0      # X[1] == 0: dead read
+    def test_braced_declaration_does_not_escape_its_block(self):
+        isa = _isa(body="if (X[rs1][0]) { unsigned<8> y = 5; X[rd] = y; }")
         state = ArchState(isa)
         state.write_x(1, 1)
         assert _run(isa, state)[0].read_x(2) == 5
-        isa = _isa(body="if (X[rs1][0]) unsigned<8> y = 5; X[rd] = y;")
-        with pytest.raises(CoreDSLError,
-                           match=r"^cannot interpret identifier 'y'$"):
-            _run(isa)
+        with pytest.raises(CoreDSLError, match="'y'") as info:
+            _isa(body="if (X[rs1][0]) { unsigned<8> y = 5; } X[rd] = y;")
+        assert info.value.loc is not None
 
     def test_runaway_loop(self, monkeypatch):
         monkeypatch.setattr(coredsl_interp, "_MAX_LOOP_ITERATIONS", 1000)

@@ -57,6 +57,29 @@ class TestCompile:
         rc = main(["compile", str(path), "-o", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("register, behavior", [
+        ("pc", "PC = X[rs1]; pc = X[rs1];"),
+        ("RS1", "RS1 = X[rs1];"),
+    ])
+    def test_register_aliasing_an_interface_is_error(
+            self, tmp_path, capsys, register, behavior):
+        """Used to escape as a raw ``IRError: duplicate port`` traceback
+        (``pc``) or to configure a standard ``RdRS1`` read (``RS1``)."""
+        path = tmp_path / "alias.core_desc"
+        path.write_text(
+            'import "RV32I.core_desc"\n'
+            "InstructionSet A extends RV32I {\n"
+            f"  architectural_state {{ register unsigned<32> {register}; }}\n"
+            "  instructions { t { encoding: 12'd0 :: rs1[4:0] :: 3'b000 :: "
+            f"5'd0 :: 7'b0001011; behavior: {{ {behavior} }} }} }}\n"
+            "}\n", encoding="utf-8")
+        rc = main(["compile", str(path), "-o", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"custom register '{register}' would alias" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.sv"))
+
 
 class TestInfoCommands:
     def test_datasheet(self, capsys):
